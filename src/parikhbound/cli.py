@@ -44,11 +44,11 @@ def cmd_bound(args) -> int:
             print("verification failed", file=sys.stderr)
             return 1
     text = eb_to_text(b)
-    if args.subset:
-        text += "\n" + format_grammar(bounded_subset(g, b))
     payload = {"bounded": [" ".join(w) for w in b.words]}
     if args.subset:
-        payload["subset_grammar"] = format_grammar(bounded_subset(g, b))
+        subset = format_grammar(bounded_subset(g, b))
+        text += "\n" + subset
+        payload["subset_grammar"] = subset
     if trace is not None:
         proof = [{"level": str(level),
                   "bounded": {x: [" ".join(w) for w in bx.words]

@@ -1,12 +1,17 @@
 """Semi-decision procedure for emptiness of a context-free intersection.
 
-Each round: (1) if the Parikh images of the current languages already fail to
-intersect, the intersection is empty; (2) otherwise build a Parikh-equivalent
+Each round: (1) look for one vector common to the Parikh images of the
+current languages, component pair by component pair (a completed Diophantine
+search or an infeasible rational relaxation proves a pair empty); if the
+images are proved disjoint, the intersection is empty, and a common vector
+yields candidate witness words; (2) otherwise build a Parikh-equivalent
 bounded language B for each current language, concatenate them, and decide
 intersection inside B exactly via block projections; (3) a found witness is
 verified in every original grammar, otherwise every language is refined by
 intersecting with the complement of B and the loop continues.  Refinement
-only removes words certified witness-free, so an emptiness answer is sound.
+only removes words certified witness-free, so an emptiness answer is sound;
+when a search budget leaves the decision inside B open, the answer is
+"unknown".
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from .boundedgen import parikh_equivalent_bounded
 from .errors import BudgetError, InputError, SoundnessError
 from .grammar import (Cfg, block_projection, cyk_membership, product_with_dfa,
                       simplify, trim, union_alphabets, with_alphabet)
-from .semilinear import (parikh_semilinear, sl_intersect, sl_membership,
-                         witness_for_vector)
+from .semilinear import (parikh_semilinear, sl_intersect,
+                         sl_intersection_witness, witness_for_vector)
 from .symbols import ElementaryBounded, Word, eb, eb_complement_dfa, eb_concat
 
 
@@ -49,13 +54,26 @@ class IntersectionResult:
         return {"nonempty": 0, "empty": 1, "unknown": 2}[self.status]
 
 
+def _common_vector(images) -> tuple | None:
+    """Some vector in every image, None when they are proved disjoint;
+    BudgetError when that is undecided.  All images but the last are
+    intersected in full, and only one vector is sought against the last."""
+    common = images[0]
+    if len(images) == 1:
+        return min((c.constant for c in common.components), default=None)
+    for img in images[1:-1]:
+        common = sl_intersect(common, img)
+    return sl_intersection_witness(common, images[-1])
+
+
 def intersect_modulo(grammars: list[Cfg], b: ElementaryBounded) -> Word | None:
     """A word in (intersection of all L_i) intersect B, or None if there is none.
 
-    Project every L_i intersect B onto block-count vectors (t1..tn), intersect
-    the resulting semilinear sets, and rebuild w = w1^t1 ... wn^tn from any
-    vector in the common image.  The membership of the rebuilt word in every
-    grammar is re-checked; failure would mean a soundness bug.
+    Project every L_i intersect B onto block-count vectors (t1..tn), find one
+    vector common to the resulting semilinear sets, and rebuild
+    w = w1^t1 ... wn^tn from it.  The membership of the rebuilt word in every
+    grammar is re-checked; failure would mean a soundness bug.  BudgetError
+    when a search budget leaves the question open.
     """
     if not grammars:
         raise InputError("need at least one grammar")
@@ -63,17 +81,15 @@ def intersect_modulo(grammars: list[Cfg], b: ElementaryBounded) -> Word | None:
     if not words:
         w: Word = ()
         return w if all(cyk_membership(g, w) for g in grammars) else None
-    common = None
-    try:
-        for g in grammars:
-            projected = block_projection(trim(g), words)
-            image = parikh_semilinear(projected)
-            common = image if common is None else sl_intersect(common, image)
-            if common.is_empty():
-                return None
-    except BudgetError:
-        return None  # sound: a missed witness only delays the procedure
-    vector = min(c.constant for c in common.components)
+    images = []
+    for g in grammars:
+        image = parikh_semilinear(block_projection(trim(g), words))
+        if image.is_empty():
+            return None
+        images.append(image)
+    vector = _common_vector(images)
+    if vector is None:
+        return None
     witness: Word = ()
     for t, wi in zip(vector, words):
         witness += wi * t
@@ -81,21 +97,6 @@ def intersect_modulo(grammars: list[Cfg], b: ElementaryBounded) -> Word | None:
         if not cyk_membership(g, witness):
             raise SoundnessError("reconstructed witness failed membership")
     return witness
-
-
-def _probe_common_vector(images) -> tuple | None:
-    """Some vector in every image, found by testing component constants of
-    each image against the others; None when the probe finds nothing."""
-    best = None
-    for i, img in enumerate(images):
-        for comp in img.components:
-            v = comp.constant
-            if any(not sl_membership(o, v)
-                   for j, o in enumerate(images) if j != i):
-                continue
-            if best is None or sum(v) < sum(best):
-                best = v
-    return best
 
 
 def refine(g: Cfg, b: ElementaryBounded) -> Cfg:
@@ -123,15 +124,11 @@ def semi_algorithm(instance: IntersectionInstance, max_rounds: int = 5,
             images = None
         if images is not None:
             try:
-                common = images[0]
-                for img in images[1:]:
-                    common = sl_intersect(common, img)
-                if common.is_empty():
+                vector = _common_vector(images)
+                if vector is None:
                     return IntersectionResult("empty", rounds=rnd)
-                vector = min(c.constant for c in common.components)
             except BudgetError:
-                # disjointness not settled; probe for some common vector
-                vector = _probe_common_vector(images)
+                pass  # disjointness not settled; try the bounded language
 
         if vector is not None:
             # fast path: a common Parikh vector yields candidate witness
@@ -146,13 +143,22 @@ def semi_algorithm(instance: IntersectionInstance, max_rounds: int = 5,
                     return IntersectionResult("nonempty", witness=w,
                                               rounds=rnd)
             if candidates:
-                witness = intersect_modulo(list(originals), eb(candidates))
+                try:
+                    witness = intersect_modulo(list(originals),
+                                               eb(candidates))
+                except BudgetError:
+                    witness = None  # undecided; the bounded language decides
                 if witness is not None:
                     return IntersectionResult("nonempty", witness=witness,
                                               rounds=rnd)
         bounded = eb_concat(*[parikh_equivalent_bounded(g) for g in current])
         state.bounded = bounded
-        witness = intersect_modulo(list(originals), bounded)
+        try:
+            witness = intersect_modulo(list(originals), bounded)
+        except BudgetError:
+            # B may hold a witness: refining it away could make a later
+            # round answer "empty" wrongly
+            return IntersectionResult("unknown", rounds=rnd)
         if witness is not None:
             return IntersectionResult("nonempty", witness=witness, rounds=rnd)
         current = tuple(simplify(refine(g, bounded)) for g in current)

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from . import diophantine
 from .diophantine import _support
-from .errors import InputError, SoundnessError
+from .errors import BudgetError, InputError, SoundnessError
 from .grammar import Cfg, to_cnf, trim
 from .symbols import Word
 
@@ -285,6 +285,13 @@ def sl_subset_sound(a: SemilinearSet, b: SemilinearSet) -> bool:
                for c in a.components)
 
 
+def _lin_point(a: LinearSet, coeffs) -> Vec:
+    """a.constant plus coeffs[j] times the j-th period; coefficients past the
+    last period are ignored."""
+    return tuple(c + sum(k * p[i] for k, p in zip(coeffs, a.periods))
+                 for i, c in enumerate(a.constant))
+
+
 def _lin_intersect(a: LinearSet, b: LinearSet) -> list[LinearSet]:
     """Exact intersection of two linear sets via minimal Diophantine solutions."""
     columns = [tuple(p) for p in a.periods] + \
@@ -296,8 +303,7 @@ def _lin_intersect(a: LinearSet, b: LinearSet) -> list[LinearSet]:
     na = len(a.periods)
     out = []
     for part in particular:
-        const = tuple(c + sum(k * p[i] for k, p in zip(part[:na], a.periods))
-                      for i, c in enumerate(a.constant))
+        const = _lin_point(a, part)
         periods = []
         for h in homogeneous:
             vec = tuple(sum(k * p[i] for k, p in zip(h[:na], a.periods))
@@ -318,12 +324,81 @@ def sl_intersect(a: SemilinearSet, b: SemilinearSet) -> SemilinearSet:
     return prune(SemilinearSet(a.dim, tuple(comps)))
 
 
-def sl_intersection_witness(a: SemilinearSet, b: SemilinearSet) -> Vec | None:
-    """Some vector in both sets, or None when the intersection is empty."""
-    inter = sl_intersect(a, b)
-    if inter.is_empty():
+# Node budgets of the Diophantine searches in _lin_common_vector, in the
+# order they run: the short exact search, the first-solution search and the
+# full exact search.
+SHORT_SEARCH_NODES = 5_000
+FIRST_SOLUTION_NODES = 20_000
+FULL_SEARCH_NODES = 300_000
+
+
+def _lin_common_vector(a: LinearSet, b: LinearSet) -> Vec | None:
+    """Some vector in both linear sets, or None when they are proved
+    disjoint; BudgetError when neither is settled.
+
+    In order: a constant of one set that lies in the other; the complete
+    solution set under a small node budget, which also settles most empty
+    pairs; the rational relaxation, whose infeasibility proves emptiness;
+    the first-solution search; the complete solution set under the full
+    budget."""
+    if lin_membership(b, a.constant):
+        return a.constant
+    if lin_membership(a, b.constant):
+        return b.constant
+    columns = [tuple(p) for p in a.periods] + \
+              [tuple(-x for x in q) for q in b.periods]
+    if not columns:
         return None
-    return min(c.constant for c in inter.components)
+    target = tuple(x - y for x, y in zip(b.constant, a.constant))
+    try:
+        particular, _ = diophantine.solve_system(columns, target,
+                                                 SHORT_SEARCH_NODES)
+    except BudgetError:
+        if not diophantine.lp_feasible(columns, target):
+            return None
+        try:
+            found = diophantine.first_particular(columns, target,
+                                                 FIRST_SOLUTION_NODES)
+            particular = [] if found is None else [found]
+        except BudgetError:
+            particular, _ = diophantine.solve_system(columns, target,
+                                                     FULL_SEARCH_NODES)
+    if not particular:
+        return None
+    return min(_lin_point(a, part) for part in particular)
+
+
+def sl_intersection_witness(a: SemilinearSet, b: SemilinearSet) -> Vec | None:
+    """Some vector in both sets, or None when they are proved disjoint;
+    BudgetError when no component pair yields a vector and some pair is
+    undecided.
+
+    Component pairs are tried one at a time, by the weight of the pointwise
+    maximum of their constants and then by the components themselves, so
+    the vector returned depends on the sets alone."""
+    if a.dim != b.dim:
+        raise InputError("dimension mismatch in intersection")
+
+    def order(pair):
+        x, y = pair
+        top = sum(max(u, v) for u, v in zip(x.constant, y.constant))
+        return (top, x.constant, y.constant, x.periods, y.periods)
+
+    undecided = False
+    for x, y in sorted(((x, y) for x in a.components for y in b.components),
+                       key=order):
+        try:
+            v = _lin_common_vector(x, y)
+        except BudgetError:
+            undecided = True
+            continue
+        if v is not None:
+            if not (sl_membership(a, v) and sl_membership(b, v)):
+                raise SoundnessError(f"common vector {v} failed membership")
+            return v
+    if undecided:
+        raise BudgetError("intersection emptiness undecided within budget")
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from parikhbound import family_instance, pdn_to_json
+from parikhbound import cli, family_instance, pdn_to_json
 from parikhbound.cli import main
 
 ANBN_TEXT = "start S\nS -> a S b | a b\n"
@@ -32,6 +32,22 @@ def test_bound_json(files, capsys):
     assert main(["--format", "json", "bound", path, "--subset"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert "bounded" in payload and "subset_grammar" in payload
+
+
+def test_bound_subset_builds_subset_once(files, capsys, monkeypatch):
+    calls = []
+    original = cli.bounded_subset
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "bounded_subset", counting)
+    path = files("g.txt", ANBN_TEXT)
+    assert main(["--format", "json", "bound", path, "--subset"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["subset_grammar"].strip()
+    assert len(calls) == 1
 
 
 def test_parikh_command(files, capsys):

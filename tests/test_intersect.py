@@ -1,9 +1,11 @@
 import pytest
 
 from helpers import ANBN, DYCK1, G_EX
-from parikhbound import (InputError, IntersectionInstance, cyk_membership,
-                         eb, enumerate_words, intersect_modulo,
-                         progress_trace, semi_algorithm, trim)
+from parikhbound import (BudgetError, InputError, IntersectionInstance,
+                         cyk_membership, eb, enumerate_words,
+                         intersect_modulo, parse_grammar, progress_trace,
+                         semi_algorithm, trim)
+from parikhbound import intersect, semilinear
 from parikhbound.grammar import cfg
 from parikhbound.intersect import refine
 from parikhbound.symbols import eb_to_nfa
@@ -109,3 +111,42 @@ def test_progress_trace_rejects_non_member():
 def test_instance_requires_grammar():
     with pytest.raises(InputError):
         IntersectionInstance(())
+
+
+def _zero_node_budgets(monkeypatch):
+    for name in ("SHORT_SEARCH_NODES", "FIRST_SOLUTION_NODES",
+                 "FULL_SEARCH_NODES"):
+        monkeypatch.setattr(semilinear, name, 0)
+
+
+def test_exhausted_budget_never_answers_empty(monkeypatch):
+    # the Parikh images here have no periods, so no search runs and a node
+    # budget cannot bite; every intersection decision is made to run out
+    # of budget instead.  "a a" is in both languages.
+    grammars = (parse_grammar("S -> b c | a a"),
+                parse_grammar("T -> c b | a a"))
+
+    def exhausted(a, b):
+        raise BudgetError("Diophantine search budget exhausted")
+
+    monkeypatch.setattr(intersect, "sl_intersection_witness", exhausted)
+    result = semi_algorithm(IntersectionInstance(grammars))
+    assert result.status == "unknown"
+    with pytest.raises(BudgetError):
+        intersect_modulo(list(grammars), eb([("a", "a")]))
+
+
+def test_zero_node_budget_gives_unknown_not_empty(monkeypatch):
+    # 3n + 1 and 3m + 3 never meet, but only over the integers: proving it
+    # takes a search, which a zero budget stops
+    grammars = (parse_grammar("X -> a a a X | a"),
+                parse_grammar("Y -> a a a Y | a a a"))
+    assert semi_algorithm(IntersectionInstance(grammars)).status == "empty"
+    _zero_node_budgets(monkeypatch)
+    assert semi_algorithm(IntersectionInstance(grammars)).status == "unknown"
+    for texts in (("S -> b c | a a", "T -> c b | a a"),
+                  ("S -> a S b | a b", "T -> a b T | eps")):
+        pair = tuple(parse_grammar(t) for t in texts)
+        result = semi_algorithm(IntersectionInstance(pair))
+        assert result.status == "nonempty"
+        assert all(cyk_membership(g, result.witness) for g in pair)

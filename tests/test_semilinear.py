@@ -91,10 +91,9 @@ def test_intersect_matches_membership(a, b):
         expected = member_oracle(a, v) and member_oracle(b, v)
         assert sl_membership(inter, v) == expected, v
     w = sl_intersection_witness(a, b)
+    assert (w is None) == inter.is_empty()
     if w is not None:
         assert sl_membership(a, w) and sl_membership(b, w)
-    else:
-        assert inter.is_empty()
 
 
 def test_parikh_semilinear_on_corpus_sound_and_tight():
