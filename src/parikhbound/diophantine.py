@@ -7,11 +7,6 @@ candidates grow one unit at a time, a candidate x is extended by e_j only when
 <A x, A e_j> < 0, and candidates dominating an already-found minimal solution
 are pruned.  Inhomogeneous systems are reduced to homogeneous ones by
 appending -target as an extra column whose coefficient is forced to one.
-
-When one solution is enough, ``first_particular`` runs the same search
-restricted to coefficient one on that extra column, and ``lp_feasible``
-decides the rational relaxation exactly; its infeasibility proves that no
-natural solution exists either.
 """
 
 from __future__ import annotations
@@ -87,91 +82,6 @@ def solve_system(columns: list[Vec], target: Vec, node_budget: int = 300_000
         elif m[-1] == 1:
             particular.append(m[:-1])
     return particular, homogeneous
-
-
-def first_particular(columns: list[Vec], target: Vec,
-                     node_budget: int) -> Vec | None:
-    """One natural solution of sum_j x_j col_j = target, with the fewest units.
-
-    The Contejean-Devie search of ``solve_system`` started from the -target
-    column alone, which it never increments, and stopped at the first
-    solution.  Any solution s above a candidate x has
-    <A x, A (s - x)> = -|A x|^2 < 0, so some column of s - x passes the
-    extension test: the search misses no solution, and a search space that
-    runs out proves there is none (None).  It need not run out when there is
-    none, hence the budget; BudgetError when it is spent.
-    """
-    q = len(columns)
-    start = tuple(-t for t in target)
-    if not any(start):
-        return (0,) * q
-    frontier: dict[Vec, Vec] = {(0,) * q: start}
-    nodes = 0
-    while frontier:
-        next_frontier: dict[Vec, Vec] = {}
-        for x, val in frontier.items():
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetError("Diophantine search budget exhausted")
-            for j in range(q):
-                if _dot(val, columns[j]) < 0:
-                    y = x[:j] + (x[j] + 1,) + x[j + 1:]
-                    if y in next_frontier:
-                        continue
-                    v = _add(val, columns[j])
-                    if not any(v):
-                        return y
-                    next_frontier[y] = v
-        frontier = next_frontier
-    return None
-
-
-def lp_feasible(columns: list[Vec], target: Vec) -> bool:
-    """Whether sum_j x_j col_j = target has a solution in nonnegative
-    rationals.  Exact phase-one simplex over Fractions with Bland's rule;
-    an artificial variable that leaves the basis is dropped for good."""
-    # imported here: fractions loads decimal, which most runs never need
-    from fractions import Fraction
-
-    n = len(columns)
-    rows: list[list[Fraction]] = []
-    for i, t in enumerate(target):
-        sign = -1 if t < 0 else 1
-        coeffs = [sign * col[i] for col in columns]
-        if not any(coeffs):
-            if t:
-                return False
-            continue
-        rows.append([Fraction(c) for c in coeffs] + [Fraction(sign * t)])
-    # basis[r] is the structural column basic in row r, or None for the
-    # row's artificial variable; the phase-one cost is the sum of those
-    basis: list[int | None] = [None] * len(rows)
-    cost = [-sum(row[j] for row in rows) for j in range(n + 1)]
-    while True:
-        enter = next((j for j in range(n) if cost[j] < 0), None)
-        if enter is None:
-            return cost[n] == 0
-        leave = None
-        for r, row in enumerate(rows):
-            if row[enter] > 0:
-                ratio = row[n] / row[enter]
-                # Bland: ties go to the smallest basic index; artificial
-                # variables rank after every structural one
-                rank = (ratio, n + r if basis[r] is None else basis[r])
-                if leave is None or rank < best:
-                    leave, best = r, rank
-        # the phase-one cost is bounded below by zero, so some row limits
-        # the entering column
-        pivot_row = rows[leave]
-        pivot = pivot_row[enter]
-        pivot_row[:] = [v / pivot for v in pivot_row]
-        for r, row in enumerate(rows):
-            factor = row[enter]
-            if r != leave and factor:
-                row[:] = [v - factor * p for v, p in zip(row, pivot_row)]
-        factor = cost[enter]
-        cost = [v - factor * p for v, p in zip(cost, pivot_row)]
-        basis[leave] = enter
 
 
 def solve_nonneg(columns: list[Vec], target: Vec) -> Vec | None:

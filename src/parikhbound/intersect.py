@@ -1,12 +1,12 @@
 """Semi-decision procedure for emptiness of a context-free intersection.
 
 Each round: (1) look for one vector common to the Parikh images of the
-current languages, component pair by component pair (a completed Diophantine
-search or an infeasible rational relaxation proves a pair empty); if the
-images are proved disjoint, the intersection is empty, and a common vector
-yields candidate witness words; (2) otherwise build a Parikh-equivalent
-bounded language B for each current language, concatenate them, and decide
-intersection inside B exactly via block projections; (3) a found witness is
+current languages, component pair by component pair (a completed
+Diophantine search proves a pair empty); if the images are proved disjoint,
+the intersection is empty, and a common vector yields candidate witness
+words; (2) otherwise build a Parikh-equivalent bounded language B for each
+current language, concatenate them, and decide intersection inside B
+exactly via block projections; (3) a found witness is
 verified in every original grammar, otherwise every language is refined by
 intersecting with the complement of B and the loop continues.  Refinement
 only removes words certified witness-free, so an emptiness answer is sound;
@@ -23,7 +23,8 @@ from .errors import BudgetError, InputError, SoundnessError
 from .grammar import (Cfg, block_projection, cyk_membership, product_with_dfa,
                       simplify, trim, union_alphabets, with_alphabet)
 from .semilinear import (parikh_semilinear, sl_intersect,
-                         sl_intersection_witness, witness_for_vector)
+                         sl_intersection_witness, sl_membership,
+                         witness_for_vector)
 from .symbols import ElementaryBounded, Word, eb, eb_complement_dfa, eb_concat
 
 
@@ -57,12 +58,21 @@ class IntersectionResult:
 def _common_vector(images) -> tuple | None:
     """Some vector in every image, None when they are proved disjoint;
     BudgetError when that is undecided.  All images but the last are
-    intersected in full, and only one vector is sought against the last."""
+    intersected in full, and only one vector is sought against the last.
+    When that full intersection runs out of budget, a component constant
+    that lies in every image still answers."""
     common = images[0]
     if len(images) == 1:
         return min((c.constant for c in common.components), default=None)
-    for img in images[1:-1]:
-        common = sl_intersect(common, img)
+    try:
+        for img in images[1:-1]:
+            common = sl_intersect(common, img)
+    except BudgetError:
+        constants = {c.constant for img in images for c in img.components}
+        for v in sorted(constants, key=lambda v: (sum(v), v)):
+            if all(sl_membership(img, v) for img in images):
+                return v
+        raise
     return sl_intersection_witness(common, images[-1])
 
 

@@ -292,11 +292,18 @@ def _lin_point(a: LinearSet, coeffs) -> Vec:
                  for i, c in enumerate(a.constant))
 
 
-def _lin_intersect(a: LinearSet, b: LinearSet) -> list[LinearSet]:
-    """Exact intersection of two linear sets via minimal Diophantine solutions."""
+def _pair_system(a: LinearSet, b: LinearSet) -> tuple[list[Vec], Vec]:
+    """Columns and target of the system whose natural solutions (x, y) are
+    the points a.constant + x.periods = b.constant + y.periods."""
     columns = [tuple(p) for p in a.periods] + \
               [tuple(-x for x in q) for q in b.periods]
     target = tuple(x - y for x, y in zip(b.constant, a.constant))
+    return columns, target
+
+
+def _lin_intersect(a: LinearSet, b: LinearSet) -> list[LinearSet]:
+    """Exact intersection of two linear sets via minimal Diophantine solutions."""
+    columns, target = _pair_system(a, b)
     if not columns:
         return [a] if a.constant == b.constant else []
     particular, homogeneous = diophantine.solve_system(columns, target)
@@ -324,11 +331,10 @@ def sl_intersect(a: SemilinearSet, b: SemilinearSet) -> SemilinearSet:
     return prune(SemilinearSet(a.dim, tuple(comps)))
 
 
-# Node budgets of the Diophantine searches in _lin_common_vector, in the
-# order they run: the short exact search, the first-solution search and the
-# full exact search.
+# Node budgets of the two Diophantine searches in _lin_common_vector: the
+# short one runs first and settles most pairs; the full one runs only when
+# the short one is spent.
 SHORT_SEARCH_NODES = 5_000
-FIRST_SOLUTION_NODES = 20_000
 FULL_SEARCH_NODES = 300_000
 
 
@@ -337,32 +343,22 @@ def _lin_common_vector(a: LinearSet, b: LinearSet) -> Vec | None:
     disjoint; BudgetError when neither is settled.
 
     In order: a constant of one set that lies in the other; the complete
-    solution set under a small node budget, which also settles most empty
-    pairs; the rational relaxation, whose infeasibility proves emptiness;
-    the first-solution search; the complete solution set under the full
-    budget."""
+    solution set under a small node budget; the complete solution set under
+    the full budget.  A completed search with no particular solution proves
+    the pair disjoint."""
     if lin_membership(b, a.constant):
         return a.constant
     if lin_membership(a, b.constant):
         return b.constant
-    columns = [tuple(p) for p in a.periods] + \
-              [tuple(-x for x in q) for q in b.periods]
+    columns, target = _pair_system(a, b)
     if not columns:
         return None
-    target = tuple(x - y for x, y in zip(b.constant, a.constant))
     try:
         particular, _ = diophantine.solve_system(columns, target,
                                                  SHORT_SEARCH_NODES)
     except BudgetError:
-        if not diophantine.lp_feasible(columns, target):
-            return None
-        try:
-            found = diophantine.first_particular(columns, target,
-                                                 FIRST_SOLUTION_NODES)
-            particular = [] if found is None else [found]
-        except BudgetError:
-            particular, _ = diophantine.solve_system(columns, target,
-                                                     FULL_SEARCH_NODES)
+        particular, _ = diophantine.solve_system(columns, target,
+                                                 FULL_SEARCH_NODES)
     if not particular:
         return None
     return min(_lin_point(a, part) for part in particular)

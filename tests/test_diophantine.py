@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parikhbound import BudgetError, linear_set, sl_intersection_witness
-from parikhbound.diophantine import (first_particular, lp_feasible,
-                                     minimal_homogeneous, solve_nonneg,
+from parikhbound.diophantine import (minimal_homogeneous, solve_nonneg,
                                      solve_system)
 from parikhbound.semilinear import SemilinearSet
 
@@ -89,59 +88,19 @@ def test_solve_nonneg_matches_brute_force(columns, target):
         assert apply_cols(columns, got) == target
 
 
-def test_lp_infeasible_and_no_particular_solution():
-    for columns, target in [
-            ([(1, 1), (2, 2)], (1, 2)),       # x + 2y cannot be 1 and 2
-            ([(1, 0), (0, 1)], (-1, 0)),      # negative target, no negatives
-            ([(1, -1), (-1, 1)], (1, 1))]:    # rows sum to zero, target not
-        assert not lp_feasible(columns, target)
-        particular, _ = solve_system(columns, target)
-        assert particular == []
-
-
-def test_lp_feasible_fixtures():
-    assert lp_feasible([(1, 0), (0, 1)], (2, 3))
-    assert lp_feasible([(2,)], (1,))            # x = 1/2 over the rationals
-    assert lp_feasible([], (0, 0))
-    assert not lp_feasible([], (0, 1))
-    # a tie in the first ratio test leaves a degenerate basis
-    assert lp_feasible([(1, 1), (1, 0), (0, 1)], (1, 1))
-    # x + y = 1, x - y = 2 forces y = -1/2, found only after pivoting
-    assert not lp_feasible([(1, 1), (1, -1)], (1, 2))
-
-
-def test_residue_pair_rational_but_not_integral():
-    # 3x - 3y = 2 has rational solutions and no integer ones
+def test_solve_system_node_budget():
+    # 3x - 3y = 2 has rational solutions and no integer ones; a completed
+    # search proves it, a search cut short raises
     columns, target = [(3,), (-3,)], (2,)
-    assert lp_feasible(columns, target)
+    particular, homogeneous = solve_system(columns, target, node_budget=50)
+    assert particular == [] and homogeneous == [(1, 1)]
     with pytest.raises(BudgetError):
-        first_particular(columns, target, node_budget=200)
+        solve_system(columns, target, node_budget=5)
+
+
+def test_residue_pair_is_disjoint_and_fast():
     a = SemilinearSet(1, (linear_set((1,), ((3,),)),))   # 3n + 1
     b = SemilinearSet(1, (linear_set((3,), ((3,),)),))   # 3m + 3
     start = time.perf_counter()
     assert sl_intersection_witness(a, b) is None
     assert time.perf_counter() - start < 1.0
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
-                min_size=1, max_size=3),
-       st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
-def test_first_particular_matches_brute_force(columns, target):
-    try:
-        got = first_particular(columns, target, node_budget=2_000)
-    except BudgetError:
-        got = "undecided"
-    solutions = [coeffs for coeffs in product(range(7), repeat=len(columns))
-                 if apply_cols(columns, coeffs) == target]
-    if got is None:
-        assert not solutions
-    elif got != "undecided":
-        assert apply_cols(columns, got) == target
-        assert min(got) >= 0
-        # breadth first: no solution uses fewer units
-        assert all(sum(got) <= sum(s) for s in solutions)
-    if solutions:
-        assert got is not None
-    if solutions:
-        assert lp_feasible(columns, target)

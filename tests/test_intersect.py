@@ -8,6 +8,7 @@ from parikhbound import (BudgetError, InputError, IntersectionInstance,
 from parikhbound import intersect, semilinear
 from parikhbound.grammar import cfg
 from parikhbound.intersect import refine
+from parikhbound.semilinear import parikh_semilinear
 from parikhbound.symbols import eb_to_nfa
 
 AB_STAR = cfg({"T"}, ["a", "b"],
@@ -114,8 +115,7 @@ def test_instance_requires_grammar():
 
 
 def _zero_node_budgets(monkeypatch):
-    for name in ("SHORT_SEARCH_NODES", "FIRST_SOLUTION_NODES",
-                 "FULL_SEARCH_NODES"):
+    for name in ("SHORT_SEARCH_NODES", "FULL_SEARCH_NODES"):
         monkeypatch.setattr(semilinear, name, 0)
 
 
@@ -150,3 +150,26 @@ def test_zero_node_budget_gives_unknown_not_empty(monkeypatch):
         result = semi_algorithm(IntersectionInstance(pair))
         assert result.status == "nonempty"
         assert all(cyk_membership(g, result.witness) for g in pair)
+
+
+def test_three_images_fall_back_to_a_shared_constant(monkeypatch):
+    # the full intersection of the first two images runs out of budget;
+    # (2, 1), the image of "a a b", is a constant of every image and still
+    # answers
+    grammars = [parse_grammar("X -> a a b | a X a"),
+                parse_grammar("Y -> a a b | b Y b"),
+                parse_grammar("Z -> a a b | a a a b Z")]
+    images = [parikh_semilinear(g) for g in grammars]
+
+    def exhausted(a, b):
+        raise BudgetError("Diophantine search budget exhausted")
+
+    monkeypatch.setattr(intersect, "sl_intersect", exhausted)
+    assert intersect._common_vector(images) == (2, 1)
+    result = semi_algorithm(IntersectionInstance(tuple(grammars)))
+    assert result.status == "nonempty"
+    assert all(cyk_membership(g, result.witness) for g in grammars)
+    # with no shared constant the fold's BudgetError still propagates
+    images[2] = parikh_semilinear(parse_grammar("Z -> a a a b Z | a"))
+    with pytest.raises(BudgetError):
+        intersect._common_vector(images)
