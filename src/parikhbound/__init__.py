@@ -25,8 +25,8 @@ from .semilinear import (LinearSet, SemilinearSet, WitnessedSemilinear,  # noqa
                          linear_set, parikh_image, parikh_semilinear,
                          sl_intersect, sl_intersection_witness, sl_membership,
                          witness_for_vector, sl_from_text, sl_to_text)
-from .newton import (KFoldComposition, PolynomialTransformation,  # noqa,E402
-                     build_kfold, differential_grammar, materialize_iterate,
+from .newton import (KFoldComposition, build_kfold,  # noqa,E402
+                     differential_grammar, materialize_iterate,
                      suggested_depth)
 from .boundedgen import (LinearDecomposition, algorithm1_bounded_sequence,  # noqa
                          bounded_for_linear, bounded_for_powers,

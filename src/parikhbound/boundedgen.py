@@ -52,9 +52,17 @@ def bounded_for_powers(g: Cfg, b: ElementaryBounded,
     """Given Parikh(L intersect B) = Parikh(L), return B' covering every power:
     Parikh(L^t intersect B') = Parikh(L^t) for all t >= 0.
 
-    B' = u1* ... ul* B^l, where the linear components of Parikh(L) number l
-    and each ui is a witness word for the i-th component constant.  A caller
-    holding the witnessed Parikh image of L already can pass it in.
+    B' = u1* ... ul* B^m, where the linear components of Parikh(L) number l,
+    each ui is a witness word of L for the i-th component constant ci, and
+    m of the components have periods.  A caller holding the witnessed
+    Parikh image of L already can pass it in.
+
+    Why m copies of B suffice: take v in Parikh(L^t) and say component i
+    is used ti times.  A period-free component adds ti.ci, which is
+    Parikh(ui^ti).  A periodic component adds (ti - 1).ci + x, where x is
+    one element of that component, so x lies in Parikh(L) = Parikh(L
+    intersect B) and one word of its copy of B realizes it.  When ti = 0,
+    that copy of B contributes the empty word.
     """
     g = trim(g)
     if VERIFY_LENGTH:
@@ -63,8 +71,8 @@ def bounded_for_powers(g: Cfg, b: ElementaryBounded,
     if image is None:
         image = parikh_image(g)
     witnesses = [w for _, w in image.components]
-    ell = len(image.components)
-    return eb_concat(eb(witnesses), *([b] * ell))
+    periodic = sum(1 for comp, _ in image.components if comp.periods)
+    return eb_concat(eb(witnesses), *([b] * periodic))
 
 
 # ---------------------------------------------------------------------------

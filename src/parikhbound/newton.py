@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .grammar import Cfg, LinearGrammar, cfg_rename_terminals, trim
+from .grammar import Cfg, LinearGrammar, trim
 from .semilinear import newton_depth
 from .symbols import Word, alphabet
 
@@ -28,21 +28,6 @@ def v_symbol(x: str) -> str:
 def level_symbol(x: str, level: int) -> str:
     """v_x annotated with the composition level it belongs to."""
     return f"v_{x}@{level}"
-
-
-@dataclass(frozen=True)
-class PolynomialTransformation:
-    """The production view of a grammar: per variable, its monomials
-    (terminal part as a word, variable occurrences in order)."""
-
-    grammar: Cfg
-
-    def monomials(self, x: str) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-        out = []
-        for rhs in self.grammar.alternatives(x):
-            occs = tuple(s for s in rhs if s in self.grammar.variables)
-            out.append((rhs, occs))
-        return out
 
 
 def differential_grammar(g: Cfg) -> LinearGrammar:

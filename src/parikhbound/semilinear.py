@@ -227,7 +227,10 @@ def _prune_pairs(pairs: list) -> list:
     merge keeps the payload of the component providing the constant.
 
     For subsumption, components are scanned by increasing constant weight; a
-    subsumer has a pointwise-smaller constant, so it precedes its subsumees."""
+    subsumer has a pointwise-smaller constant, so it precedes its subsumees
+    unless the constants are equal.  Equal constants come in one run, more
+    periods first, and a kept component also drops the earlier ones of its
+    run that it contains: periods {(1,0)} span all of {(2,0),(3,0)}."""
     seen = set()
     comps = []
     for l, w in pairs:
@@ -235,11 +238,18 @@ def _prune_pairs(pairs: list) -> list:
             seen.add(l)
             comps.append((l, w))
     while True:
-        comps.sort(key=lambda cw: (cw[0]._csum, cw[0].constant, cw[0].periods))
+        comps.sort(key=lambda cw: (cw[0]._csum, cw[0].constant,
+                                   -len(cw[0].periods), cw[0].periods))
         kept: list = []
         for c, w in comps:
-            if not any(_lin_subsumed(c, d) for d, _ in kept):
-                kept.append((c, w))
+            if any(_lin_subsumed(c, d) for d, _ in kept):
+                continue
+            run = len(kept)
+            while run and kept[run - 1][0].constant == c.constant:
+                run -= 1
+            kept[run:] = [(d, v) for d, v in kept[run:]
+                          if not _lin_subsumed(d, c)]
+            kept.append((c, w))
         merged = False
         for i in range(len(kept)):
             if merged:

@@ -332,22 +332,6 @@ def rstar(a: Regex) -> Regex:
     return RStar(a)
 
 
-def regex_to_text(r: Regex) -> str:
-    if isinstance(r, REmpty):
-        return "{}"
-    if isinstance(r, REpsilon):
-        return "eps"
-    if isinstance(r, RSym):
-        return r.symbol
-    if isinstance(r, RConcat):
-        return f"({regex_to_text(r.left)} . {regex_to_text(r.right)})"
-    if isinstance(r, RUnion):
-        return f"({regex_to_text(r.left)} | {regex_to_text(r.right)})"
-    if isinstance(r, RStar):
-        return f"({regex_to_text(r.inner)})*"
-    raise InputError(f"not a regex: {r!r}")
-
-
 def nfa_to_regex(n: Nfa) -> Regex:
     """State elimination; states of lowest in*out degree go first."""
     INIT, FINAL = ("#init",), ("#final",)

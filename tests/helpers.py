@@ -8,10 +8,30 @@ is meaningful evidence of correctness.
 from __future__ import annotations
 
 import random
+import time
 from itertools import product
 
 from parikhbound import Cfg, enumerate_words, parikh_of_word, trim
 from parikhbound.grammar import cfg, is_empty_language
+
+
+class Budget:
+    """Context manager that fails the test when its body takes longer than
+    `seconds` of wall-clock time."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def __enter__(self):
+        self.t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc):
+        if exc[0] is None:
+            elapsed = time.perf_counter() - self.t0
+            assert elapsed < self.seconds, \
+                f"exceeded time budget: {elapsed:.1f}s > {self.seconds}s"
+
 
 # ---------------------------------------------------------------------------
 # Named grammars

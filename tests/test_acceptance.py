@@ -1,11 +1,9 @@
 """The ten acceptance criteria, one test (and one pass/fail line under
 ``pytest -v``) per criterion.  Each test checks its own wall-clock budget."""
 
-import time
-
 import pytest
 
-from helpers import (ANBN, CORE_CORPUS, DYCK1, G_EX, PALIN, PALIN_C,
+from helpers import (ANBN, CORE_CORPUS, Budget, DYCK1, G_EX, PALIN, PALIN_C,
                      expand_semilinear, full_corpus, per_length_parikh,
                      random_corpus)
 from parikhbound import (GlobalConfiguration, IntersectionInstance,
@@ -19,21 +17,6 @@ from parikhbound import (GlobalConfiguration, IntersectionInstance,
                          witness_for_vector)
 from parikhbound.grammar import cfg, concat_grammars, finite_cfg
 from parikhbound.pdn import acceptor_to_cfg, encode_to_acceptors, switch_symbol
-
-
-class Budget:
-    def __init__(self, seconds):
-        self.seconds = seconds
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        if exc[0] is None:
-            elapsed = time.perf_counter() - self.t0
-            assert elapsed < self.seconds, \
-                f"exceeded time budget: {elapsed:.1f}s > {self.seconds}s"
 
 
 def test_ac01_differential_grammar_fixture():

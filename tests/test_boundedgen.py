@@ -3,9 +3,9 @@ from helpers import (ANBN, CORE_CORPUS, DYCK1, G_EX, PALIN, eb_words,
 from parikhbound import (LinearGrammar, alphabet, bounded_for_linear,
                          bounded_for_powers, bounded_for_regex,
                          bounded_subset, cyk_membership, decompose_linear,
-                         enumerate_words, eb, eb_to_nfa,
-                         parikh_equivalent_bounded, trim,
-                         verify_parikh_property)
+                         enumerate_words, eb, eb_concat, eb_to_nfa,
+                         parikh_equivalent_bounded, parikh_image,
+                         parse_grammar, trim, verify_parikh_property)
 from parikhbound.boundedgen import bounded_for_substitution
 from parikhbound.grammar import cfg, concat_grammars, finite_cfg
 from parikhbound.symbols import RStar, RSym, parikh_of_word, rconcat, runion
@@ -65,21 +65,40 @@ def test_parikh_equivalent_bounded_on_corpus():
         assert verify_parikh_property(trim(g), b, 8), g.start
 
 
-def test_bounded_for_powers():
-    g = trim(ANBN)
-    b = parikh_equivalent_bounded(g)
-    bp = bounded_for_powers(g, b)
-    nfa = eb_to_nfa(bp, AB)
+def _check_powers(g, bp):
+    """Parikh(L^t intersect B') = Parikh(L^t) per length up to 8, for
+    t = 0..3."""
+    sigma = g.terminals
+    nfa = eb_to_nfa(bp, sigma)
     for t in range(4):
-        lt = (finite_cfg([()], AB) if t == 0
-              else concat_grammars([g] * t, AB))
-        per_all = per_length_parikh(lt, 8, AB)
+        lt = (finite_cfg([()], sigma) if t == 0
+              else concat_grammars([g] * t, sigma))
+        per_all = per_length_parikh(lt, 8, sigma)
         per_in: dict[int, set] = {}
         for w in enumerate_words(trim(lt), 8):
             if nfa.accepts(w):
-                per_in.setdefault(len(w), set()).add(parikh_of_word(w, AB))
+                per_in.setdefault(len(w), set()).add(parikh_of_word(w, sigma))
         for n, vecs in per_all.items():
-            assert vecs == per_in.get(n, set()), (t, n)
+            assert vecs == per_in.get(n, set()), (g.start, t, n)
+
+
+def test_bounded_for_powers():
+    g = trim(ANBN)
+    _check_powers(g, bounded_for_powers(g, parikh_equivalent_bounded(g)))
+    # a period-free component ("a") and a periodic one (b b* c): the
+    # witnesses cover the first, one copy of B the second
+    mixed = trim(parse_grammar("S -> a | b T\nT -> b T | c"))
+    b = parikh_equivalent_bounded(mixed)
+    witnesses = [w for _, w in parikh_image(mixed).components]
+    bp = bounded_for_powers(mixed, b)
+    assert bp == eb_concat(eb(witnesses), b)
+    _check_powers(mixed, bp)
+    # a finite language needs no copy of B at all
+    finite = trim(finite_cfg([("a", "b"), ("b",), ("b", "a", "a")], AB))
+    witnesses = [w for _, w in parikh_image(finite).components]
+    bp = bounded_for_powers(finite, parikh_equivalent_bounded(finite))
+    assert bp == eb(witnesses)
+    _check_powers(finite, bp)
 
 
 def test_bounded_for_substitution():

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import ANBN, DYCK1, G_EX
+from helpers import ANBN, DYCK1, G_EX, Budget
 from parikhbound import (BudgetError, InputError, IntersectionInstance,
                          cyk_membership, eb, enumerate_words,
                          intersect_modulo, parse_grammar, progress_trace,
@@ -173,3 +173,20 @@ def test_three_images_fall_back_to_a_shared_constant(monkeypatch):
     images[2] = parikh_semilinear(parse_grammar("Z -> a a a b Z | a"))
     with pytest.raises(BudgetError):
         intersect._common_vector(images)
+
+
+def test_dyck_against_short_words_is_empty():
+    # used to spend minutes in prune on the projected grammar inside B
+    with Budget(30):
+        r = check_sound([parse_grammar("D -> a b | a D b | D D"),
+                         parse_grammar("X0 -> eps | b X1\nX1 -> a")])
+    assert r.status == "empty"
+
+
+def test_five_letter_witness_is_found():
+    # the fast-path candidates miss; the witness comes from inside B
+    grammars = [parse_grammar("X0 -> b a X0 | b b | b b a"),
+                parse_grammar("X0 -> eps | b a X1\nX1 -> b | b b a")]
+    with Budget(30):
+        r = check_sound(grammars)
+    assert r.status == "nonempty" and r.witness == ("b", "a", "b", "b", "a")

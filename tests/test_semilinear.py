@@ -10,8 +10,8 @@ from parikhbound import (LinearSet, SemilinearSet, cyk_membership,
                          parikh_of_word, sl_from_text, sl_intersect,
                          sl_intersection_witness, sl_membership, sl_to_text,
                          trim, witness_for_vector)
-from parikhbound.semilinear import (prune, sl_minkowski, sl_singleton,
-                                    sl_star, sl_union)
+from parikhbound.semilinear import (_lin_subsumed, prune, sl_minkowski,
+                                    sl_singleton, sl_star, sl_union)
 
 vec2 = st.tuples(st.integers(0, 3), st.integers(0, 3))
 lin2 = st.builds(linear_set, vec2, st.lists(vec2, max_size=3).map(tuple))
@@ -51,6 +51,27 @@ def test_prune_is_exact(s):
     assert len(p.components) <= max(len(s.components), 1)
     for v in ALL_VECS_6:
         assert sl_membership(p, v) == member_oracle(s, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(lambda comps: SemilinearSet(2, tuple(comps)),
+                 st.lists(lin2, min_size=0, max_size=6)))
+def test_prune_is_idempotent_and_irredundant(s):
+    p = prune(s)
+    assert prune(p) == p
+    for a in p.components:
+        for b in p.components:
+            assert a == b or not _lin_subsumed(a, b), (a, b)
+
+
+def test_prune_keeps_one_of_equal_constants():
+    # the component with periods contains the one without
+    s = SemilinearSet(2, (linear_set((3, 0)), linear_set((3, 0), ((2, 1),))))
+    assert prune(s).components == (linear_set((3, 0), ((2, 1),)),)
+    # fewer periods, yet the larger set: {1}* contains {2, 3}*
+    s = SemilinearSet(1, (linear_set((0,), ((1,),)),
+                          linear_set((0,), ((2,), (3,)))))
+    assert prune(s).components == (linear_set((0,), ((1,),)),)
 
 
 def test_prune_merges_star_blowup():
