@@ -6,11 +6,6 @@ emptiness relative to such a B, and run the derived semi-decision procedures
 for context-free intersection and pushdown-network reachability.
 """
 
-import sys
-
-# regex trees and recursive constructions can get deep on generated inputs
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
-
 from .errors import (BudgetError, InputError, ProgressNotReached,  # noqa: F401,E402
                      SoundnessError)
 from .symbols import (Alphabet, ElementaryBounded, Nfa, Dfa, Word,  # noqa: F401,E402

@@ -15,12 +15,12 @@ from . import boundedgen
 from .boundedgen import (bounded_subset, parikh_equivalent_bounded,
                          verify_parikh_property)
 from .errors import BudgetError, InputError, ProgressNotReached, SoundnessError
-from .grammar import format_grammar, parse_grammar, trim
+from .grammar import enumerate_words, format_grammar, parse_grammar, trim
 from .intersect import IntersectionInstance, intersect_modulo, semi_algorithm
 from .naming import reset_fresh_names
 from .pdn import family_instance, pdn_from_json, pdn_reach_bounded, reach
-from .semilinear import parikh_image, sl_to_text
-from .symbols import eb_from_text, eb_to_text
+from .semilinear import parikh_image, sl_membership, sl_to_text
+from .symbols import eb_from_text, eb_to_text, parikh_of_word
 
 
 def _read(path: str) -> str:
@@ -61,6 +61,13 @@ def cmd_bound(args) -> int:
     return 0
 
 
+def _image_covers_words(g, sl, length: int) -> bool:
+    """True if sl holds the Parikh vectors of all words of g up to `length`."""
+    sigma = trim(g).terminals
+    return all(sl_membership(sl, parikh_of_word(w, sigma))
+               for w in enumerate_words(g, length))
+
+
 def cmd_parikh(args) -> int:
     g = parse_grammar(_read(args.grammar))
     image = parikh_image(g)
@@ -74,12 +81,7 @@ def cmd_parikh(args) -> int:
                        for l, w in image.components],
     }
     if args.verify:
-        from .grammar import enumerate_words
-        from .semilinear import sl_membership
-        from .symbols import parikh_of_word
-        sigma = trim(g).terminals
-        ok = all(sl_membership(sl, parikh_of_word(w, sigma))
-                 for w in enumerate_words(g, args.verify))
+        ok = _image_covers_words(g, sl, args.verify)
         payload["verified_to_length"] = args.verify
         text += f"# verified against enumeration to length {args.verify}: {ok}\n"
         if not ok:
@@ -137,13 +139,7 @@ def cmd_oracle_verify(args) -> int:
     g = parse_grammar(_read(args.grammar))
     b = parikh_equivalent_bounded(g)
     ok = verify_parikh_property(trim(g), b, args.length)
-    from .grammar import enumerate_words
-    from .semilinear import sl_membership
-    from .symbols import parikh_of_word
-    sigma = trim(g).terminals
-    image = parikh_image(g).semilinear
-    image_ok = all(sl_membership(image, parikh_of_word(w, sigma))
-                   for w in enumerate_words(g, args.length))
+    image_ok = _image_covers_words(g, parikh_image(g).semilinear, args.length)
     payload = {"bounded_property": ok, "parikh_soundness": image_ok,
                "length": args.length}
     _emit(args, payload,
@@ -203,6 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # regex trees and recursive constructions can get deep on generated inputs
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
     args = build_parser().parse_args(argv)
     if args.seed_names:
         reset_fresh_names()

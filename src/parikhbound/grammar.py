@@ -127,7 +127,7 @@ def format_grammar(g: Cfg) -> str:
 # Trimming and emptiness
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def trim(g: Cfg) -> Cfg:
     """Keep only variables that are productive and reachable from the start.
 
@@ -180,7 +180,7 @@ class CnfGrammar:
     eps_in_language: bool
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def to_cnf(g: Cfg) -> CnfGrammar:
     g = trim(g)
     if not g.productions:

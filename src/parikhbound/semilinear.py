@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import sub
 
 from . import diophantine
 from .diophantine import _support
@@ -55,10 +56,13 @@ class LinearSet:
         object.__setattr__(self, "_csum", sum(self.constant))
         pmask = 0
         for p in self.periods:
-            for i, x in enumerate(p):
-                if x:
-                    pmask |= 1 << i
+            pmask |= _support(p)
         object.__setattr__(self, "_pmask", pmask)
+        # a subset of this set has its period support, and the zero
+        # coordinates of its constant, inside this set's; tested on these
+        # bits before any search
+        zeros = ~_support(self.constant) & ((1 << self.dim) - 1)
+        object.__setattr__(self, "_sub_sig", pmask | zeros << self.dim)
 
     def __hash__(self):
         return self._hash
@@ -124,6 +128,7 @@ def _lin_minkowski(a: LinearSet, b: LinearSet) -> LinearSet:
                      a.periods + b.periods)
 
 
+@lru_cache(maxsize=1 << 8)
 def sl_minkowski(a: SemilinearSet, b: SemilinearSet) -> SemilinearSet:
     if a.dim != b.dim:
         raise InputError("dimension mismatch in Minkowski sum")
@@ -168,29 +173,26 @@ def sl_membership(s: SemilinearSet, v) -> bool:
     return any(lin_membership(c, v) for c in s.components)
 
 
-_subsume_cache: dict[tuple[LinearSet, LinearSet], bool] = {}
-
-
 def _lin_subsumed(a: LinearSet, b: LinearSet) -> bool:
-    """True only if a is provably a subset of b (sound, not complete)."""
-    if a == b:
-        return True
-    # necessary because periods are nonnegative
-    if a._csum < b._csum or any(
-            x < y for x, y in zip(a.constant, b.constant)):
+    """True only if a is provably a subset of b (sound, not complete).
+
+    Periods are nonnegative, so a subset of b has a constant pointwise above
+    b's, and its periods and the gap between the constants use only b's
+    period directions; the search runs only when all of that holds."""
+    if a._sub_sig & ~b._sub_sig or a._csum < b._csum:
         return False
-    key = (a, b)
-    hit = _subsume_cache.get(key)
-    if hit is None:
-        bset = set(b.periods)
-        hit = lin_membership(b, a.constant) and all(
-            p in bset or diophantine.solve_nonneg(b.periods, p) is not None
-            for p in a.periods)
-        _subsume_cache[key] = hit
-    return hit
+    gap = tuple(map(sub, a.constant, b.constant))
+    if min(gap, default=0) < 0 or _support(gap) & ~b._pmask:
+        return False
+    return _subsumed_search(a, b)
 
 
-_merge_cache: dict[tuple[LinearSet, LinearSet], LinearSet | None] = {}
+@lru_cache(maxsize=1 << 16)
+def _subsumed_search(a: LinearSet, b: LinearSet) -> bool:
+    bset = set(b.periods)
+    return lin_membership(b, a.constant) and all(
+        p in bset or diophantine.solve_nonneg(b.periods, p) is not None
+        for p in a.periods)
 
 
 def _merge_pair(a: LinearSet, b: LinearSet) -> LinearSet | None:
@@ -201,24 +203,20 @@ def _merge_pair(a: LinearSet, b: LinearSet) -> LinearSet | None:
     elements using d at least once land in b, the rest lie in a."""
     if a._csum >= b._csum or a._pmask & ~b._pmask:
         return None  # d must be nonzero; span(a.periods) must fit in b's
-    d = tuple(x - y for x, y in zip(b.constant, a.constant))
-    if any(x < 0 for x in d):
-        return None
-    if b._pmask & ~(a._pmask | _support(d)):
-        return None  # b has a period direction that a plus d cannot span
-    key = (a, b)
-    if key in _merge_cache:
-        return _merge_cache[key]
-    merged_periods = set(a.periods)
-    merged_periods.add(d)
-    out = None
+    d = tuple(map(sub, b.constant, a.constant))
+    if min(d) < 0 or b._pmask & ~(a._pmask | _support(d)):
+        return None  # d must be natural, and a plus d span b's directions
+    return _merge_search(a, b, d)
+
+
+@lru_cache(maxsize=1 << 16)
+def _merge_search(a: LinearSet, b: LinearSet, d: Vec) -> LinearSet | None:
+    merged = a.periods + (d,)
     if all(diophantine.solve_nonneg(b.periods, p) is not None
-           for p in merged_periods) and \
-       all(diophantine.solve_nonneg(tuple(merged_periods), q) is not None
-           for q in b.periods):
-        out = LinearSet(a.constant, tuple(merged_periods))
-    _merge_cache[key] = out
-    return out
+           for p in merged) and \
+       all(diophantine.solve_nonneg(merged, q) is not None for q in b.periods):
+        return LinearSet(a.constant, merged)
+    return None
 
 
 def _prune_pairs(pairs: list) -> list:
@@ -242,13 +240,15 @@ def _prune_pairs(pairs: list) -> list:
                                    -len(cw[0].periods), cw[0].periods))
         kept: list = []
         for c, w in comps:
-            if any(_lin_subsumed(c, d) for d, _ in kept):
+            sig = c._sub_sig  # spares most pairs the call to _lin_subsumed
+            if any(not sig & ~d._sub_sig and _lin_subsumed(c, d)
+                   for d, _ in kept):
                 continue
             run = len(kept)
             while run and kept[run - 1][0].constant == c.constant:
                 run -= 1
             kept[run:] = [(d, v) for d, v in kept[run:]
-                          if not _lin_subsumed(d, c)]
+                          if d._sub_sig & ~sig or not _lin_subsumed(d, c)]
             kept.append((c, w))
         merged = False
         for i in range(len(kept)):
@@ -266,8 +266,11 @@ def _prune_pairs(pairs: list) -> list:
         comps = kept
 
 
+@lru_cache(maxsize=1 << 8)
 def prune(s: SemilinearSet) -> SemilinearSet:
-    """Normalize a union of linear sets; see _prune_pairs."""
+    """The same set from no more components (a sound reduction, not a normal
+    form; see _prune_pairs).  Memoised: the result depends on the component
+    set alone, since _prune_pairs sorts by a total key."""
     kept = _prune_pairs([(c, None) for c in s.components])
     return SemilinearSet(s.dim, tuple(c for c, _ in kept))
 
@@ -584,7 +587,7 @@ def _solve_linear(order, matrix, rhs, dim):
     return values
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def _newton(g: Cfg) -> tuple[tuple[tuple[str, SemilinearSet], ...], int]:
     """Newton iteration over semilinear sets, staged along the strongly
     connected blocks of the variable dependency graph; lower blocks converge
@@ -706,7 +709,7 @@ def witness_for_vector(g: Cfg, v) -> Word | None:
     return table.get(cnf.start, {}).get(v)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def parikh_image(g: Cfg) -> WitnessedSemilinear:
     """Exact Parikh image with a witness word per component constant."""
     g = trim(g)

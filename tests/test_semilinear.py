@@ -1,6 +1,7 @@
 from itertools import product
+from operator import add
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (CORE_CORPUS, G_EX, expand_semilinear, naive_lin_member,
@@ -10,8 +11,10 @@ from parikhbound import (LinearSet, SemilinearSet, cyk_membership,
                          parikh_of_word, sl_from_text, sl_intersect,
                          sl_intersection_witness, sl_membership, sl_to_text,
                          trim, witness_for_vector)
-from parikhbound.semilinear import (_lin_subsumed, prune, sl_minkowski,
-                                    sl_singleton, sl_star, sl_union)
+from parikhbound.diophantine import solve_nonneg
+from parikhbound.semilinear import (_lin_subsumed, _merge_pair, lin_membership,
+                                    prune, sl_minkowski, sl_singleton,
+                                    sl_star, sl_union)
 
 vec2 = st.tuples(st.integers(0, 3), st.integers(0, 3))
 lin2 = st.builds(linear_set, vec2, st.lists(vec2, max_size=3).map(tuple))
@@ -82,6 +85,71 @@ def test_prune_merges_star_blowup():
              linear_set((1, 1), ((1, 0), (0, 1)))]
     p = prune(SemilinearSet(2, tuple(parts)))
     assert p.components == (linear_set((0, 0), ((1, 0), (0, 1))),)
+
+
+@st.composite
+def lin_pairs(draw):
+    """Two 2-D or 3-D linear sets.  Half the period lists lie along axes, so
+    period supports often differ or are disjoint.  A third of the pairs put
+    the first set inside the second, and a third make the second the first
+    shifted by some d with d as an extra period, so that subsumptions and
+    merges occur; an extra random period may break either relation."""
+    n = draw(st.sampled_from((2, 3)))
+    vec = st.tuples(*[st.integers(0, 3)] * n)
+    axis = st.builds(lambda i, k: tuple(k if j == i else 0 for j in range(n)),
+                     st.integers(0, n - 1), st.integers(1, 3))
+    periods = st.lists(axis, max_size=2) | st.lists(axis | vec, max_size=2)
+    b = linear_set(draw(vec), draw(periods))
+    mode = draw(st.sampled_from(("free", "inside", "shifted")))
+    if mode == "free":
+        return linear_set(draw(vec), draw(periods)), b
+    extra = draw(st.lists(axis | vec, max_size=1))
+    if mode == "shifted":
+        d = draw(vec)
+        return b, linear_set(tuple(map(add, b.constant, d)),
+                             [*b.periods, d, *extra])
+    point = b.constant
+    for p in b.periods:
+        k = draw(st.integers(0, 2))
+        point = tuple(x + k * y for x, y in zip(point, p))
+    inside = list(b.periods) + [tuple(map(add, p, q))
+                                for p in b.periods for q in b.periods]
+    own = draw(st.lists(st.sampled_from(inside), max_size=2)) if inside else []
+    return linear_set(point, own + extra), b
+
+
+def plain_subsumed(a, b):
+    """_lin_subsumed by its definition, without the rejects before any
+    search."""
+    return lin_membership(b, a.constant) and all(
+        solve_nonneg(b.periods, p) is not None for p in a.periods)
+
+
+def plain_merge(a, b):
+    """_merge_pair by its definition: d = b.constant - a.constant, natural
+    and nonzero, and span(b.periods) = span(a.periods + {d})."""
+    d = tuple(y - x for x, y in zip(a.constant, b.constant))
+    if not any(d) or min(d) < 0:
+        return None
+    merged = a.periods + (d,)
+    if all(solve_nonneg(b.periods, p) is not None for p in merged) and \
+       all(solve_nonneg(merged, q) is not None for q in b.periods):
+        return linear_set(a.constant, merged)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(lin_pairs())
+@example((linear_set((1, 0), ((1, 0),)), linear_set((0, 0), ((0, 1),))))
+@example((linear_set((1, 2), ((0, 1),)),
+          linear_set((1, 1), ((0, 1), (2, 0)))))
+def test_rejects_before_search_match_the_definitions(pair):
+    for a, b in (pair, pair[::-1]):
+        subsumed = plain_subsumed(a, b)
+        assert _lin_subsumed(a, b) == subsumed
+        # the mask test that _prune_pairs makes before calling _lin_subsumed
+        assert not subsumed or not a._sub_sig & ~b._sub_sig
+        assert _merge_pair(a, b) == plain_merge(a, b)
 
 
 @settings(max_examples=40, deadline=None)
