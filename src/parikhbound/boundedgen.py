@@ -24,11 +24,6 @@ from .symbols import (Alphabet, ElementaryBounded, Nfa, Regex, REmpty, REpsilon,
                       RSym, RConcat, RUnion, RStar, Word, alphabet, determinize,
                       eb, eb_concat, eb_to_nfa, nfa_to_regex, parikh_of_word)
 
-# When set to a positive length, constructions re-verify their preconditions
-# by enumeration up to that length before relying on them.
-VERIFY_LENGTH: int | None = None
-
-
 def verify_parikh_property(g: Cfg, b: ElementaryBounded, max_length: int) -> bool:
     """Enumeration check: every word of L(g) up to max_length has a commutative
     mate inside L(g) intersect B.  Mates preserve length, so a per-length
@@ -65,9 +60,6 @@ def bounded_for_powers(g: Cfg, b: ElementaryBounded,
     that copy of B contributes the empty word.
     """
     g = trim(g)
-    if VERIFY_LENGTH:
-        if not verify_parikh_property(g, b, VERIFY_LENGTH):
-            raise SoundnessError("powers precondition failed the enumeration check")
     if image is None:
         image = parikh_image(g)
     witnesses = [w for _, w in image.components]
@@ -286,11 +278,7 @@ def parikh_equivalent_bounded(g: Cfg, depth: int | None = None,
     for x in sorted(g.variables):
         rooted = LinearGrammar(gt.variables, gt.terminals, gt.productions, x)
         btilde[x] = bounded_for_linear(rooted)
-    result = algorithm1_bounded_sequence(kf, btilde, trace)[g.start]
-    if VERIFY_LENGTH:
-        if not verify_parikh_property(g, result, VERIFY_LENGTH):
-            raise SoundnessError("bounded construction failed the enumeration check")
-    return result
+    return algorithm1_bounded_sequence(kf, btilde, trace)[g.start]
 
 
 def bounded_subset(g: Cfg, b: ElementaryBounded | None = None) -> Cfg:

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .errors import BudgetError, InputError
 from .naming import fresh
-from .symbols import (Alphabet, Dfa, Regex, REmpty, REpsilon, RSym, RConcat,
-                      RUnion, RStar, Word, alphabet)
+from .symbols import (Alphabet, Dfa, ElementaryBounded, Regex, REmpty, REpsilon,
+                      RSym, RConcat, RUnion, RStar, Word, alphabet, eb_to_nfa)
 
 Production = tuple[str, tuple[str, ...]]
 
@@ -348,90 +349,6 @@ def binarize(g: Cfg) -> Cfg:
     return Cfg(frozenset(variables), g.terminals, frozenset(prods), g.start)
 
 
-def product_with_dfa(g: Cfg, d: Dfa) -> Cfg:
-    """Bar-Hillel product; recognizes L(g) intersected with the DFA language.
-
-    Triples are built bottom-up from productive ones only, so the |Q|^3 blowup
-    is paid only on pairs that can actually derive a word.
-    """
-    for a in g.terminals:
-        if a not in d.alphabet:
-            raise InputError(f"terminal {a!r} missing from automaton alphabet")
-    g = binarize(trim(g))
-    if not g.productions:
-        return trim(g)
-
-    # relation R[x] = set of (q, q') such that (q, x, q') is productive
-    rel: dict[str, set[tuple[int, int]]] = {}
-    for a in g.terminals:
-        rel[a] = {(q, d.delta[(q, a)]) for q in range(d.n_states)}
-    for x in g.variables:
-        rel[x] = set()
-    prods_by_lhs: dict[str, list] = {}
-    for lhs, rhs in g.productions:
-        prods_by_lhs.setdefault(lhs, []).append(rhs)
-    changed = True
-    while changed:
-        changed = False
-        for x, alts in prods_by_lhs.items():
-            for rhs in alts:
-                if len(rhs) == 0:
-                    new = {(q, q) for q in range(d.n_states)}
-                elif len(rhs) == 1:
-                    new = set(rel[rhs[0]])
-                else:
-                    by_mid: dict[int, list[int]] = {}
-                    for q1, q2 in rel[rhs[1]]:
-                        by_mid.setdefault(q1, []).append(q2)
-                    new = {(q0, q2) for q0, q1 in rel[rhs[0]]
-                           for q2 in by_mid.get(q1, ())}
-                if not new <= rel[x]:
-                    rel[x] |= new
-                    changed = True
-
-    def tv(x, q, q2):
-        return f"[{q},{x},{q2}]"
-
-    prods: set[Production] = set()
-    variables: set[str] = set()
-    for x, alts in prods_by_lhs.items():
-        for rhs in alts:
-            if len(rhs) == 0:
-                for q in range(d.n_states):
-                    variables.add(tv(x, q, q))
-                    prods.add((tv(x, q, q), ()))
-            elif len(rhs) == 1:
-                s = rhs[0]
-                for q, q2 in rel[s]:
-                    variables.add(tv(x, q, q2))
-                    if s in g.terminals:
-                        prods.add((tv(x, q, q2), (s,)))
-                    else:
-                        variables.add(tv(s, q, q2))
-                        prods.add((tv(x, q, q2), (tv(s, q, q2),)))
-            else:
-                s1, s2 = rhs
-                by_src: dict[int, list[int]] = {}
-                for q1, q2 in rel[s2]:
-                    by_src.setdefault(q1, []).append(q2)
-                for q0, q1 in rel[s1]:
-                    for q2 in by_src.get(q1, ()):
-                        variables.add(tv(x, q0, q2))
-                        part1 = (s1,) if s1 in g.terminals else (tv(s1, q0, q1),)
-                        part2 = (s2,) if s2 in g.terminals else (tv(s2, q1, q2),)
-                        if s1 not in g.terminals:
-                            variables.add(tv(s1, q0, q1))
-                        if s2 not in g.terminals:
-                            variables.add(tv(s2, q1, q2))
-                        prods.add((tv(x, q0, q2), part1 + part2))
-    start = fresh("S")
-    variables.add(start)
-    for q in sorted(d.accepting):
-        if (d.initial, q) in rel[g.start]:
-            prods.add((start, (tv(g.start, d.initial, q),)))
-    return trim(Cfg(frozenset(variables), g.terminals, frozenset(prods), start))
-
-
 def substitute(g: Cfg, mapping: dict[str, Cfg]) -> Cfg:
     """Replace each mapped terminal by the language of its grammar."""
     for a in mapping:
@@ -573,7 +490,7 @@ def regex_to_cfg(r: Regex, sigma: Alphabet) -> Cfg:
 
 
 # ---------------------------------------------------------------------------
-# Transducer product (used for block projection)
+# Bar-Hillel product with a finite transducer
 
 
 @dataclass(frozen=True)
@@ -589,107 +506,98 @@ class Transducer:
 
 
 def transducer_product(g: Cfg, t: Transducer) -> Cfg:
-    """Grammar for { output of t on w : w in L(g), t accepts w }."""
+    """Grammar for { output of t on w : w in L(g), t accepts w }.
+
+    Variable [q,x,q2] derives the outputs of the runs from q to q2 on the
+    words of x; a move's output stands where its terminal stood, with one
+    production per output.  Triples are built bottom-up from productive ones
+    only, so the |Q|^3 blowup is paid only on pairs that can derive a word.
+    """
     g = binarize(trim(g))
     if not g.productions:
         return Cfg(frozenset({g.start}), t.output_alphabet, frozenset(), g.start)
-    by_input: dict[str, list] = {}
+    outputs: dict[str, dict] = {a: {} for a in g.terminals}  # a -> (q, q2) -> words
     for q, a, out, q2 in t.rules:
-        by_input.setdefault(a, []).append((q, out, q2))
-
-    rel: dict[str, set] = {a: {(q, q2) for q, _, q2 in by_input.get(a, ())}
-                           for a in g.terminals}
-    for x in g.variables:
-        rel[x] = set()
+        if a in outputs:
+            outputs[a].setdefault((q, q2), []).append(out)
+    # rel[x] = set of (q, q2) such that [q,x,q2] derives a word
+    rel: dict[str, set] = {a: set(moves) for a, moves in outputs.items()}
+    rel.update((x, set()) for x in g.variables)
     prods_by_lhs: dict[str, list] = {}
+    users: dict[str, list[Production]] = {}
     for lhs, rhs in g.productions:
         prods_by_lhs.setdefault(lhs, []).append(rhs)
-    changed = True
-    while changed:
-        changed = False
-        for x, alts in prods_by_lhs.items():
-            for rhs in alts:
-                if len(rhs) == 0:
-                    new = {(q, q) for q in t.states}
-                elif len(rhs) == 1:
-                    new = set(rel[rhs[0]])
-                else:
-                    by_mid: dict = {}
-                    for q1, q2 in rel[rhs[1]]:
-                        by_mid.setdefault(q1, []).append(q2)
-                    new = {(q0, q2) for q0, q1 in rel[rhs[0]]
-                           for q2 in by_mid.get(q1, ())}
-                if not new <= rel[x]:
-                    rel[x] |= new
-                    changed = True
+        for s in rhs:
+            users.setdefault(s, []).append((lhs, rhs))
+
+    def runs(rhs):
+        """State sequences q0..qn along which every symbol of rhs derives."""
+        if not rhs:
+            return [(q,) for q in t.states]
+        if len(rhs) == 1:
+            return rel[rhs[0]]
+        by_src: dict = {}
+        for q1, q2 in rel[rhs[1]]:
+            by_src.setdefault(q1, []).append(q2)
+        return [(q0, q1, q2) for q0, q1 in rel[rhs[0]] for q2 in by_src.get(q1, ())]
+
+    # a production is rechecked only when the relation of one of its
+    # right-hand symbols grows
+    work = list(g.productions)
+    queued = set(work)
+    while work:
+        lhs, rhs = production = work.pop()
+        queued.discard(production)
+        new = {(run[0], run[-1]) for run in runs(rhs)} - rel[lhs]
+        if new:
+            rel[lhs] |= new
+            for user in users.get(lhs, ()):
+                if user not in queued:
+                    queued.add(user)
+                    work.append(user)
 
     def tv(x, q, q2):
-        return f"[{q}|{x}|{q2}]"
+        return f"[{q},{x},{q2}]"
 
     prods: set[Production] = set()
-    variables: set[str] = set()
-
-    def part(s, q, q2):
-        variables.add(tv(s, q, q2))
-        return (tv(s, q, q2),)
-
     for x, alts in prods_by_lhs.items():
         for rhs in alts:
-            if len(rhs) == 0:
-                for q in t.states:
-                    variables.add(tv(x, q, q))
-                    prods.add((tv(x, q, q), ()))
-            elif len(rhs) == 1:
-                for q, q2 in rel[rhs[0]]:
-                    variables.add(tv(x, q, q2))
-                    prods.add((tv(x, q, q2), part(rhs[0], q, q2)))
-            else:
-                s1, s2 = rhs
-                by_src: dict = {}
-                for q1, q2 in rel[s2]:
-                    by_src.setdefault(q1, []).append(q2)
-                for q0, q1 in rel[s1]:
-                    for q2 in by_src.get(q1, ()):
-                        variables.add(tv(x, q0, q2))
-                        prods.add((tv(x, q0, q2),
-                                   part(s1, q0, q1) + part(s2, q1, q2)))
-    # terminal triples expand to transducer outputs
-    for a in g.terminals:
-        for q, out, q2 in by_input.get(a, ()):
-            if tv(a, q, q2) in variables:
-                prods.add((tv(a, q, q2), tuple(out)))
+            moves = [outputs.get(s) for s in rhs]  # None for a variable
+            for run in runs(rhs):
+                pieces = [[(tv(s, q, q2),)] if out is None else out[q, q2]
+                          for s, out, q, q2 in zip(rhs, moves, run, run[1:])]
+                for parts in product(*pieces):
+                    prods.add((tv(x, run[0], run[-1]), sum(parts, ())))
     start = fresh("S")
-    variables.add(start)
     for qf in t.accepting:
         if (t.initial, qf) in rel[g.start]:
             prods.add((start, (tv(g.start, t.initial, qf),)))
-    return trim(Cfg(frozenset(variables), t.output_alphabet, frozenset(prods), start))
+    variables = frozenset({start} | {lhs for lhs, _ in prods})
+    return trim(Cfg(variables, t.output_alphabet, frozenset(prods), start))
+
+
+def product_with_dfa(g: Cfg, d: Dfa) -> Cfg:
+    """Bar-Hillel product; recognizes L(g) intersected with the DFA language.
+
+    The DFA runs as the transducer that echoes each symbol it reads.
+    """
+    for a in g.terminals:
+        if a not in d.alphabet:
+            raise InputError(f"terminal {a!r} missing from automaton alphabet")
+    states = range(d.n_states)
+    echo = frozenset((q, a, (a,), d.delta[(q, a)]) for q in states for a in d.alphabet)
+    return transducer_product(g, Transducer(frozenset(states), d.alphabet, g.terminals,
+                                            echo, d.initial, d.accepting))
 
 
 def block_transducer(words: tuple[Word, ...], sigma: Alphabet) -> Transducer:
-    """Reads w1^t1 ... wn^tn and emits a1^t1 ... an^tn (one output per block)."""
-    n = len(words)
-    out_sigma = alphabet([f"a{i}" for i in range(1, n + 1)])
-    states = {("b", i) for i in range(n + 1)}
-    rules = set()
-
-    def pos_state(j, pos):
-        return ("b", j) if pos == len(words[j - 1]) else ("in", j, pos)
-
-    for j, w in enumerate(words, start=1):
-        for pos in range(1, len(w)):
-            states.add(("in", j, pos))
-    for i in range(n + 1):
-        for j in range(max(i, 1), n + 1):
-            w = words[j - 1]
-            out = (f"a{j}",) if len(w) == 1 else ()
-            rules.add((("b", i), w[0], out, pos_state(j, 1)))
-    for j, w in enumerate(words, start=1):
-        for pos in range(1, len(w)):
-            out = (f"a{j}",) if pos + 1 == len(w) else ()
-            rules.add((pos_state(j, pos), w[pos], out, pos_state(j, pos + 1)))
-    return Transducer(frozenset(states), sigma, out_sigma, frozenset(rules),
-                      ("b", 0), frozenset(("b", i) for i in range(n + 1)))
+    """Reads w1^t1 ... wn^tn and emits a1^t1 ... an^tn: the chain of
+    eb_to_nfa, emitting aj on each move into the boundary ("b", j)."""
+    nfa = eb_to_nfa(ElementaryBounded(words), sigma)
+    rules = frozenset((q, a, (f"a{q2[1]}",) if q2[0] == "b" else (), q2)
+                      for q, a, q2 in nfa.transitions)
+    out_sigma = alphabet([f"a{j}" for j in range(1, len(words) + 1)])
+    return Transducer(nfa.states, sigma, out_sigma, rules, ("b", 0), nfa.accepting)
 
 
 def block_projection(g: Cfg, words: tuple[Word, ...]) -> Cfg:
@@ -701,7 +609,7 @@ def block_projection(g: Cfg, words: tuple[Word, ...]) -> Cfg:
 # Language-preserving simplification
 
 
-def simplify(g: Cfg, max_rounds: int = 8) -> Cfg:
+def simplify(g: Cfg) -> Cfg:
     """Shrink a grammar without changing its language.
 
     Combines trimming, merging of variables with identical production
@@ -709,7 +617,7 @@ def simplify(g: Cfg, max_rounds: int = 8) -> Cfg:
     non-recursive single-production variables.
     """
     g = trim(g)
-    for _ in range(max_rounds):
+    for _ in range(8):
         before = (len(g.variables), len(g.productions))
         g = _merge_equivalent(g)
         g = _inline_simple(g)
@@ -747,7 +655,7 @@ def _merge_equivalent(g: Cfg) -> Cfg:
     return Cfg(frozenset(rep.values()), g.terminals, frozenset(prods), ren[g.start])
 
 
-def _inline_simple(g: Cfg, size_cap: int = 12) -> Cfg:
+def _inline_simple(g: Cfg) -> Cfg:
     while True:
         prods_by_lhs: dict[str, list] = {x: [] for x in g.variables}
         for lhs, rhs in g.productions:
@@ -764,7 +672,8 @@ def _inline_simple(g: Cfg, size_cap: int = 12) -> Cfg:
             rhs = prods_by_lhs[x][0]
             if x in rhs or occurrences[x] == 0:
                 continue
-            if len(rhs) <= 2 or occurrences[x] * len(rhs) <= size_cap:
+            # inline when the copies it makes stay small
+            if len(rhs) <= 2 or occurrences[x] * len(rhs) <= 12:
                 target = (x, rhs)
                 break
         if target is None:

@@ -113,8 +113,7 @@ def refine(g: Cfg, b: ElementaryBounded) -> Cfg:
     """Grammar for L(g) minus the bounded language (intersection with its
     complement), trimmed."""
     g = trim(g)
-    dfa = eb_complement_dfa(b, g.terminals)
-    return trim(product_with_dfa(g, dfa))
+    return product_with_dfa(g, eb_complement_dfa(b, g.terminals))
 
 
 def semi_algorithm(instance: IntersectionInstance, max_rounds: int = 5,

@@ -1,12 +1,17 @@
+from itertools import product
+
 import pytest
 
-from helpers import ANBN, DYCK1, G_EX, PALIN, per_length_parikh
-from parikhbound import (Cfg, InputError, alphabet, cyk_membership,
-                         enumerate_words, format_grammar, parse_grammar,
-                         product_with_dfa, simplify, substitute, trim)
+from helpers import (ANBN, CORE_CORPUS, DYCK1, G_EX, PALIN, full_corpus,
+                     per_length_parikh)
+from parikhbound import (Cfg, InputError, alphabet, block_projection,
+                         cyk_membership, enumerate_words, format_grammar,
+                         parse_grammar, product_with_dfa, simplify, substitute,
+                         trim)
 from parikhbound.grammar import (binarize, cfg, concat_grammars, finite_cfg,
                                  is_empty_language, to_cnf, union_grammars)
-from parikhbound.symbols import chars, determinize, eb, eb_to_nfa
+from parikhbound.symbols import (chars, determinize, eb, eb_complement_dfa,
+                                 eb_to_nfa)
 
 AB = alphabet(["a", "b"])
 
@@ -85,10 +90,34 @@ def test_to_cnf_preserves_language():
 
 
 def test_product_with_dfa_filters_language():
-    dfa = determinize(eb_to_nfa(eb([("a",), ("b",)]), AB), AB)  # a* b*
-    inter = product_with_dfa(trim(G_EX), dfa)
-    expected = {w for w in words_set(G_EX, 6) if dfa.accepts(w)}
-    assert words_set(inter, 6) == expected
+    bounded = [eb([("a",), ("b",)]),  # a* b*
+               eb([("a", "b"), ("a",), ("b", "a"), ("a", "b")])]
+    for g in full_corpus():
+        g, sigma = trim(g), g.terminals
+        for b in bounded:
+            # B itself, and its complement as refine uses it
+            for dfa in (determinize(eb_to_nfa(b, sigma), sigma),
+                        eb_complement_dfa(b, sigma)):
+                expected = {w for w in words_set(g, 6) if dfa.accepts(w)}
+                assert words_set(product_with_dfa(g, dfa), 6) == expected
+
+
+def test_block_projection_counts_blocks():
+    # same first letters, and a repeated word, make the parse of w1^t1...
+    # ambiguous; the projection must still hold exactly the block counts t
+    word_lists = [(("a",), ("a", "b"), ("b",), ("a",)),
+                  (("a", "b"), ("b",), ("a", "a"), ("a", "b"))]
+    for g in CORE_CORPUS:
+        for words in word_lists:
+            proj = block_projection(trim(g), words)
+            for t in product(range(5), repeat=len(words)):
+                if sum(t) > 4:
+                    continue
+                counts = tuple(f"a{j}" for j, tj in enumerate(t, 1)
+                               for _ in range(tj))
+                w = sum((wj * tj for wj, tj in zip(words, t)), ())
+                assert cyk_membership(proj, counts) == cyk_membership(g, w), \
+                    (g.start, words, t)
 
 
 def test_product_with_empty_dfa_is_empty():
