@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SoundnessError
-from .grammar import (Cfg, LinearGrammar, cfg_rename_terminals, concat_grammars,
-                      cyk_membership, enumerate_words, finite_cfg, is_empty_language,
-                      product_with_dfa, regex_to_cfg, simplify, trim, unit_cfg)
+from .grammar import (Cfg, LinearGrammar, cfg_rename_terminals, enumerate_words,
+                      finite_cfg, is_empty_language, product_with_dfa, regex_to_cfg,
+                      simplify, trim)
 from .newton import (KFoldComposition, build_kfold, level_symbol, suggested_depth,
                      v_symbol)
 from .semilinear import (WitnessedSemilinear, parikh_image, wit_minkowski,
@@ -41,16 +41,21 @@ def verify_parikh_property(g: Cfg, b: ElementaryBounded, max_length: int) -> boo
     return all(by_len_all[n] <= by_len_in.get(n, set()) for n in by_len_all)
 
 
-def bounded_for_powers(g: Cfg, b: ElementaryBounded,
-                       image: WitnessedSemilinear | None = None
-                       ) -> ElementaryBounded:
+def bounded_for_powers(g: Cfg, b: ElementaryBounded) -> ElementaryBounded:
     """Given Parikh(L intersect B) = Parikh(L), return B' covering every power:
-    Parikh(L^t intersect B') = Parikh(L^t) for all t >= 0.
+    Parikh(L^t intersect B') = Parikh(L^t) for all t >= 0; see
+    _powers_from_image for B' and why it is sound."""
+    return _powers_from_image(parikh_image(trim(g)), b)
 
-    B' = u1* ... ul* B^m, where the linear components of Parikh(L) number l,
-    each ui is a witness word of L for the i-th component constant ci, and
-    m of the components have periods.  A caller holding the witnessed
-    Parikh image of L already can pass it in.
+
+def _powers_from_image(image: WitnessedSemilinear,
+                       b: ElementaryBounded) -> ElementaryBounded:
+    """B' = u1* ... ul* B^m for the language L whose witnessed Parikh image
+    is given, where Parikh(L intersect B) = Parikh(L).
+
+    The linear components of Parikh(L) number l, each ui is a witness word
+    of L for the i-th component constant ci, and m of the components have
+    periods.
 
     Why m copies of B suffice: take v in Parikh(L^t) and say component i
     is used ti times.  A period-free component adds ti.ci, which is
@@ -59,9 +64,6 @@ def bounded_for_powers(g: Cfg, b: ElementaryBounded,
     intersect B) and one word of its copy of B realizes it.  When ti = 0,
     that copy of B contributes the empty word.
     """
-    g = trim(g)
-    if image is None:
-        image = parikh_image(g)
     witnesses = [w for _, w in image.components]
     periodic = sum(1 for comp, _ in image.components if comp.periods)
     return eb_concat(eb(witnesses), *([b] * periodic))
@@ -171,35 +173,39 @@ def bounded_for_substitution(b: ElementaryBounded,
     the concatenation B1 ... Bk covers the substituted language.  Two sound
     shortcuts: a word whose letters are all unmapped substitutes to itself,
     and a word containing an empty-language letter contributes nothing.
+
+    Each distinct word is substituted once.  ``memo`` may carry that work
+    across calls: it maps each word to its Bi, and each mapped letter to
+    whether its language is empty.  Both depend on the maps and the output
+    alphabet, so a memo must never be shared between calls with different
+    ``sigma_map``, ``tau_map`` or ``out_alphabet``.
     """
     memo = {} if memo is None else memo
-    parts: list[ElementaryBounded] = []
-    for wi in b.words:
+
+    def empty(a: str) -> bool:
+        if a not in memo:
+            memo[a] = is_empty_language(sigma_map[a])
+        return memo[a]
+
+    for wi in dict.fromkeys(b.words):
         if wi in memo:
-            parts.append(memo[wi])
             continue
         if all(a not in sigma_map for a in wi):
-            result = eb([wi])
+            memo[wi] = eb([wi])
+        elif any(a in sigma_map and empty(a) for a in wi):
+            memo[wi] = eb([])
         else:
-            grammars = [sigma_map[a] if a in sigma_map else unit_cfg(a, out_alphabet)
-                        for a in wi]
-            if any(is_empty_language(ga) for ga in grammars):
-                result = eb([])
-            else:
-                li = concat_grammars(grammars, out_alphabet)
-                ti = eb_concat(*[tau_map.get(a, eb([(a,)])) for a in wi])
-                # the Parikh image of the concatenation is the Minkowski sum
-                # of the per-letter images, which are shared across words
-                image = None
-                for a, ga in zip(wi, grammars):
-                    part = (parikh_image(ga) if a in sigma_map
-                            else wit_singleton(
-                                parikh_of_word((a,), out_alphabet), (a,)))
-                    image = part if image is None else wit_minkowski(image, part)
-                result = bounded_for_powers(li, ti, image=image)
-        memo[wi] = result
-        parts.append(result)
-    return eb_concat(*parts)
+            # Parikh(Li) is the Minkowski sum of the per-letter images,
+            # which are shared across words
+            image = None
+            for a in wi:
+                part = (parikh_image(sigma_map[a]) if a in sigma_map
+                        else wit_singleton(parikh_of_word((a,), out_alphabet),
+                                           (a,)))
+                image = part if image is None else wit_minkowski(image, part)
+            ti = eb_concat(*[tau_map.get(a, eb([(a,)])) for a in wi])
+            memo[wi] = _powers_from_image(image, ti)
+    return eb_concat(*map(memo.__getitem__, b.words))
 
 
 # ---------------------------------------------------------------------------

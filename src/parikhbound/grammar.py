@@ -450,10 +450,6 @@ def finite_cfg(words: list[Word], sigma: Alphabet) -> Cfg:
     return Cfg(frozenset({start}), sigma, prods, start)
 
 
-def unit_cfg(symbol: str, sigma: Alphabet) -> Cfg:
-    return finite_cfg([(symbol,)], sigma)
-
-
 def regex_to_cfg(r: Regex, sigma: Alphabet) -> Cfg:
     counter = [0]
     prods: set[Production] = set()

@@ -11,8 +11,10 @@ import random
 import time
 from itertools import product
 
-from parikhbound import Cfg, enumerate_words, parikh_of_word, trim
+from parikhbound import (Cfg, GlobalConfiguration, PushdownNetwork, eb,
+                         enumerate_words, parikh_image, parikh_of_word, trim)
 from parikhbound.grammar import cfg, is_empty_language
+from parikhbound.semilinear import wit_minkowski, wit_singleton
 
 
 class Budget:
@@ -105,6 +107,84 @@ def random_corpus(count: int, seed: int = 20260826,
 def full_corpus() -> list[Cfg]:
     """At least 20 grammars: the 5 named ones plus seeded random grammars."""
     return CORE_CORPUS + random_corpus(15)
+
+
+def two_thread_networks() -> list:
+    """Small two-thread pushdown networks as (network, initial, target)."""
+    out = []
+
+    def two_threads(rules1, rules2, stacks, init_g, target_g):
+        rules = list(rules1) + list(rules2)
+        globals_ = sorted({r[0] for r in rules} | {r[2] for r in rules}
+                          | {init_g, target_g})
+        stack = sorted({r[1] for r in rules}
+                       | {s for r in rules for s in r[3]}
+                       | {s for st in stacks for s in st})
+        out.append((PushdownNetwork(tuple(globals_), tuple(stack),
+                                    (tuple(rules1), tuple(rules2))),
+                    GlobalConfiguration(init_g, tuple(map(tuple, stacks))),
+                    GlobalConfiguration(target_g, ((), ()))))
+
+    # both threads just drain their stacks
+    two_threads([("g0", "A", "g0", ())], [("g0", "B", "g0", ())],
+                (("A",), ("B",)), "g0", "g0")
+    # thread 2 must run first to enable thread 1's pop
+    two_threads([("g1", "A", "g1", ())], [("g0", "B", "g1", ())],
+                (("A",), ("B",)), "g0", "g1")
+    # deadlock: each thread waits for a global only the other would set
+    two_threads([("g1", "A", "g2", ())], [("g2", "B", "g1", ())],
+                (("A",), ("B",)), "g0", "g2")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Reference constructions
+
+
+def greedy_collapse(words) -> list:
+    """Keep each word unless it is a power of the last word kept, one word
+    at a time."""
+    out = []
+    for w in words:
+        if out:
+            n, r = divmod(len(w), len(out[-1]))
+            if r == 0 and w == out[-1] * n:
+                continue
+        out.append(w)
+    return out
+
+
+def reference_bounded_for_substitution(b, sigma_map, tau_map, out_alphabet,
+                                       memo=None):
+    """``bounded_for_substitution`` computed word by word: each word of b is
+    looked up in, or added to, the memo in turn, emptiness is decided per
+    word, and every join is a ``greedy_collapse``."""
+    memo = {} if memo is None else memo
+    words = []
+    for wi in b.words:
+        if wi not in memo:
+            memo[wi] = _reference_substitute_word(wi, sigma_map, tau_map,
+                                                  out_alphabet)
+        words.extend(memo[wi])
+    return eb(greedy_collapse(words))
+
+
+def _reference_substitute_word(wi, sigma_map, tau_map, out_alphabet) -> list:
+    if all(a not in sigma_map for a in wi):
+        return [wi]
+    if any(is_empty_language(sigma_map[a]) for a in wi if a in sigma_map):
+        return []
+    image = None
+    for a in wi:
+        part = (parikh_image(sigma_map[a]) if a in sigma_map
+                else wit_singleton(parikh_of_word((a,), out_alphabet), (a,)))
+        image = part if image is None else wit_minkowski(image, part)
+    ti = greedy_collapse(w for a in wi
+                         for w in tau_map.get(a, eb([(a,)])).words)
+    # B' = u1* ... ul* Ti^m, m the number of periodic components
+    witnesses = [w for _, w in image.components if w]
+    periodic = sum(1 for comp, _ in image.components if comp.periods)
+    return greedy_collapse(witnesses + ti * periodic)
 
 
 # ---------------------------------------------------------------------------

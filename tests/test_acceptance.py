@@ -5,7 +5,7 @@ import pytest
 
 from helpers import (ANBN, CORE_CORPUS, Budget, DYCK1, G_EX, PALIN, PALIN_C,
                      expand_semilinear, full_corpus, per_length_parikh,
-                     random_corpus)
+                     random_corpus, two_thread_networks)
 from parikhbound import (GlobalConfiguration, IntersectionInstance,
                          PushdownNetwork, bounded_for_powers, bounded_subset,
                          build_kfold, cyk_membership, differential_grammar,
@@ -136,27 +136,7 @@ def _pdn_corpus():
             ("g0", "Z", "g0", ())],
            ("A", "A", "Z"), "g0", "g1")
 
-    def two_threads(rules1, rules2, stacks, init_g, target_g):
-        rules = list(rules1) + list(rules2)
-        globals_ = sorted({r[0] for r in rules} | {r[2] for r in rules}
-                          | {init_g, target_g})
-        stack = sorted({r[1] for r in rules}
-                       | {s for r in rules for s in r[3]}
-                       | {s for st in stacks for s in st})
-        out.append((PushdownNetwork(tuple(globals_), tuple(stack),
-                                    (tuple(rules1), tuple(rules2))),
-                    GlobalConfiguration(init_g, tuple(map(tuple, stacks))),
-                    GlobalConfiguration(target_g, ((), ()))))
-
-    # both threads just drain their stacks
-    two_threads([("g0", "A", "g0", ())], [("g0", "B", "g0", ())],
-                (("A",), ("B",)), "g0", "g0")
-    # thread 2 must run first to enable thread 1's pop
-    two_threads([("g1", "A", "g1", ())], [("g0", "B", "g1", ())],
-                (("A",), ("B",)), "g0", "g1")
-    # deadlock: each thread waits for a global only the other would set
-    two_threads([("g1", "A", "g2", ())], [("g2", "B", "g1", ())],
-                (("A",), ("B",)), "g0", "g2")
+    out.extend(two_thread_networks())
     # the parametric family at k = 1
     out.append(family_instance(1))
     return out

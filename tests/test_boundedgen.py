@@ -1,13 +1,16 @@
 from helpers import (ANBN, CORE_CORPUS, DYCK1, G_EX, PALIN, eb_words,
-                     per_length_parikh)
+                     full_corpus, per_length_parikh,
+                     reference_bounded_for_substitution, two_thread_networks)
 from parikhbound import (LinearGrammar, alphabet, bounded_for_linear,
                          bounded_for_powers, bounded_for_regex,
                          bounded_subset, cyk_membership, decompose_linear,
                          enumerate_words, eb, eb_concat, eb_to_nfa,
                          parikh_equivalent_bounded, parikh_image,
                          parse_grammar, trim, verify_parikh_property)
+from parikhbound import boundedgen
 from parikhbound.boundedgen import bounded_for_substitution
 from parikhbound.grammar import cfg, concat_grammars, finite_cfg
+from parikhbound.pdn import acceptor_to_cfg, encode_to_acceptors
 from parikhbound.symbols import RStar, RSym, parikh_of_word, rconcat, runion
 
 AB = alphabet(["a", "b"])
@@ -119,6 +122,38 @@ def test_bounded_for_substitution():
         in_vecs_by_len.setdefault(len(w), set()).add(parikh_of_word(w, AB))
     for n, vecs in lang_vecs_by_len.items():
         assert vecs <= in_vecs_by_len.get(n, set()), n
+
+
+def test_bounded_for_substitution_edge_cases():
+    nothing = cfg({"S"}, ["a", "b"], [("S", ("S", "a"))], "S")
+    sigma = {"x": trim(ANBN), "e": nothing}
+    tau = {"x": eb([("a", "b")]), "e": eb([])}
+
+    def sub(b, memo=None):
+        return bounded_for_substitution(b, sigma, tau, AB, memo)
+
+    # a word with an empty-language letter contributes nothing
+    assert sub(eb([("x", "e")])) == eb([])
+    assert sub(eb([("x",), ("e", "x"), ("b", "x")])) \
+        == sub(eb([("x",), ("b", "x")]))
+    # a word of only unmapped letters maps to itself
+    assert sub(eb([("b", "a")])) == eb([("b", "a")])
+    # two calls that share one memo agree with two fresh calls
+    b1 = eb([("x",), ("a", "x"), ("e",), ("x",)])
+    b2 = eb([("a", "x"), ("x", "x"), ("b",), ("x", "e")])
+    memo: dict = {}
+    assert [sub(b1, memo), sub(b2, memo)] == [sub(b1), sub(b2)]
+
+
+def test_substitution_matches_word_by_word_reference(monkeypatch):
+    grammars = full_corpus() + [acceptor_to_cfg(a)
+                                for net in two_thread_networks()
+                                for a in encode_to_acceptors(*net)]
+    fast = [parikh_equivalent_bounded(g).words for g in grammars]
+    monkeypatch.setattr(boundedgen, "bounded_for_substitution",
+                        reference_bounded_for_substitution)
+    for g, words in zip(grammars, fast):
+        assert parikh_equivalent_bounded(g).words == words
 
 
 def cyk_in_substituted(w, blocks):

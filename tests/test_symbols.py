@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import eb_words
+from helpers import eb_words, greedy_collapse
 from parikhbound import (InputError, alphabet, determinize, eb, eb_concat,
                          eb_complement_dfa, eb_from_text, eb_to_nfa,
                          eb_to_text, nfa_to_regex, parikh_of_word, word)
@@ -50,6 +50,43 @@ def test_eb_concat_absorbs_adjacent_powers():
     assert eb_concat(eb([("a",)]), eb([("a", "a")])).words == (("a",),)
     # non-powers are kept
     assert eb_concat(eb([("a",)]), eb([("a", "b")])).k == 2
+
+
+# words are powers of these roots, so that many are powers of one another
+ROOTS = [chars("a"), chars("aa"), chars("ab"), chars("abab"), chars("b")]
+
+
+@st.composite
+def split_words(draw):
+    """A list of words, parts that hold it in order (some built by eb() and
+    some by eb_concat), and a place to cut the list of parts."""
+    words = draw(st.lists(st.builds(lambda r, n: r * n, st.sampled_from(ROOTS),
+                                    st.integers(1, 3)), max_size=12))
+    cuts = sorted(draw(st.sets(st.integers(0, len(words)), max_size=4)))
+    bounds = [0] + cuts + [len(words)]
+    parts = []
+    for i, j in zip(bounds, bounds[1:]):
+        chunk = words[i:j]
+        parts.append(eb(chunk) if draw(st.booleans())
+                     else eb_concat(*[eb([w]) for w in chunk]))
+    return words, parts, draw(st.integers(0, len(parts)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_words())
+# a collapsed part whose first two words are both powers of the last word
+# kept, while the second is no power of the first
+@example(([("a",), ("a", "a"), ("a", "a", "a")],
+          [eb([("a",)]), eb_concat(eb([("a", "a")]), eb([("a", "a", "a")]))],
+          1))
+def test_eb_concat_is_an_associative_greedy_collapse(split):
+    words, parts, cut = split
+    flat = eb_concat(*parts)
+    assert flat.words == tuple(greedy_collapse(words))
+    assert eb_concat(eb_concat(*parts[:cut]), eb_concat(*parts[cut:])) == flat
+    # marked collapsed exactly when no word is a power of the one before
+    for b in parts + [flat]:
+        assert b.collapsed == (list(b.words) == greedy_collapse(b.words))
 
 
 def test_eb_nfa_matches_definition_oracle():
