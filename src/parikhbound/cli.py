@@ -80,14 +80,14 @@ def cmd_parikh(args) -> int:
                         "witness": " ".join(w)}
                        for l, w in image.components],
     }
+    ok = True
     if args.verify:
         ok = _image_covers_words(g, sl, args.verify)
         payload["verified_to_length"] = args.verify
+        payload["verified"] = ok
         text += f"# verified against enumeration to length {args.verify}: {ok}\n"
-        if not ok:
-            return 1
     _emit(args, payload, text)
-    return 0
+    return 0 if ok else 1
 
 
 def cmd_check_intersection(args) -> int:

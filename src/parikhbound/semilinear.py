@@ -11,8 +11,8 @@ constants always have witness words in the language.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import sub
+from functools import lru_cache, reduce
+from operator import add, or_, sub
 
 from . import diophantine
 from .diophantine import _support
@@ -23,46 +23,83 @@ from .symbols import Word
 Vec = tuple[int, ...]
 
 
-@lru_cache(maxsize=1 << 16)
-def _reduce_periods(periods: tuple[Vec, ...]) -> tuple[Vec, ...]:
-    """Drop periods that are natural combinations of the remaining ones;
+class _Gens:
+    """A period set interned by _gens: reduced periods and their support
+    mask.  It hashes by identity, so caches keyed on it hash no tuples; after
+    an eviction two of them may stand for one period set, and such a cache
+    then misses but never answers wrongly."""
+
+    __slots__ = ("periods", "mask")
+
+    def __init__(self, periods: tuple[Vec, ...]):
+        self.periods = periods
+        self.mask = reduce(or_, map(_support, periods), 0)
+
+
+@lru_cache(maxsize=1 << 14)
+def _gens(cleaned: tuple[Vec, ...]) -> _Gens:
+    """The interned period set of sorted, distinct, nonzero periods.
+    Periods that are natural combinations of the remaining ones are dropped;
     the generated set is unchanged.  Heaviest periods are tried first so
     composites are expressed through the small generators."""
-    if len(periods) < 2:
-        return periods
-    kept = list(periods)
-    for p in sorted(periods, key=sum, reverse=True):
-        rest = [q for q in kept if q != p]
-        if diophantine.solve_nonneg(rest, p) is not None:
-            kept = rest
-    return tuple(kept)
+    if any(e < 0 for p in cleaned for e in p):
+        raise InputError("linear sets live in the nonnegative orthant")
+    kept = list(cleaned)
+    if len(kept) > 1:
+        for p in sorted(cleaned, key=sum, reverse=True):
+            rest = [q for q in kept if q != p]
+            if diophantine.solve_nonneg(rest, p) is not None:
+                kept = rest
+    return _Gens(tuple(kept))
+
+
+@lru_cache(maxsize=1 << 14)
+def _join(ga: _Gens, gb: _Gens) -> _Gens:
+    """The interned period set of the union of two period sets."""
+    return _gens(tuple(sorted({*ga.periods, *gb.periods})))
+
+
+def _in_span(periods: tuple[Vec, ...], v: Vec) -> bool:
+    """v is a natural combination of periods; most often it is one of them."""
+    return v in periods or diophantine.solve_nonneg(periods, v) is not None
+
+
+@lru_cache(maxsize=1 << 16)
+def _spans_within(ga: _Gens, gb: _Gens) -> bool:
+    """Every period of ga lies in span_N(gb.periods), so span(ga) is inside
+    span(gb)."""
+    return not ga.mask & ~gb.mask and all(_in_span(gb.periods, p)
+                                          for p in ga.periods)
 
 
 @dataclass(frozen=True)
 class LinearSet:
-    """constant + natural combinations of periods; periods are nonzero, sorted."""
+    """constant + natural combinations of periods; periods are nonzero,
+    sorted, and none is a natural combination of the others.  Equality and
+    hash use constant and periods alone; _gens, the interned period set, lets
+    span containment be decided once per pair of period sets."""
 
     constant: Vec
     periods: tuple[Vec, ...]
 
     def __post_init__(self):
-        cleaned = tuple(sorted({p for p in self.periods if any(p)}))
-        if any(c < 0 for c in self.constant) or any(
-                e < 0 for p in cleaned for e in p):
+        if any(c < 0 for c in self.constant):
             raise InputError("linear sets live in the nonnegative orthant")
-        object.__setattr__(self, "periods", _reduce_periods(cleaned))
-        object.__setattr__(self, "_hash",
-                           hash((self.constant, self.periods)))
-        object.__setattr__(self, "_csum", sum(self.constant))
-        pmask = 0
-        for p in self.periods:
-            pmask |= _support(p)
-        object.__setattr__(self, "_pmask", pmask)
+        self._set_gens(_gens(tuple(sorted({p for p in self.periods
+                                           if any(p)}))))
+
+    def _set_gens(self, gens: _Gens):
+        setattr_ = object.__setattr__
+        setattr_(self, "periods", gens.periods)
+        setattr_(self, "_gens", gens)
+        setattr_(self, "_hash", hash((self.constant, gens.periods)))
+        setattr_(self, "_csum", sum(self.constant))
+        setattr_(self, "_pmask", gens.mask)
         # a subset of this set has its period support, and the zero
         # coordinates of its constant, inside this set's; tested on these
         # bits before any search
         zeros = ~_support(self.constant) & ((1 << self.dim) - 1)
-        object.__setattr__(self, "_sub_sig", pmask | zeros << self.dim)
+        setattr_(self, "_sub_sig", gens.mask | zeros << self.dim)
 
     def __hash__(self):
         return self._hash
@@ -124,8 +161,12 @@ def sl_union(*sets: SemilinearSet) -> SemilinearSet:
 
 
 def _lin_minkowski(a: LinearSet, b: LinearSet) -> LinearSet:
-    return LinearSet(tuple(x + y for x, y in zip(a.constant, b.constant)),
-                     a.periods + b.periods)
+    """a + b, with the period set joined from the two interned ones; the
+    constant is a sum of natural vectors, so nothing needs checking."""
+    out = object.__new__(LinearSet)
+    object.__setattr__(out, "constant", tuple(map(add, a.constant, b.constant)))
+    out._set_gens(_join(a._gens, b._gens))
+    return out
 
 
 @lru_cache(maxsize=1 << 8)
@@ -161,9 +202,7 @@ def lin_membership(l: LinearSet, v: Vec) -> bool:
     rest = tuple(a - b for a, b in zip(v, l.constant))
     if any(r < 0 for r in rest):
         return False
-    if not any(rest):
-        return True
-    return diophantine.solve_nonneg(l.periods, rest) is not None
+    return not any(rest) or _in_span(l.periods, rest)
 
 
 def sl_membership(s: SemilinearSet, v) -> bool:
@@ -176,23 +215,16 @@ def sl_membership(s: SemilinearSet, v) -> bool:
 def _lin_subsumed(a: LinearSet, b: LinearSet) -> bool:
     """True only if a is provably a subset of b (sound, not complete).
 
-    Periods are nonnegative, so a subset of b has a constant pointwise above
-    b's, and its periods and the gap between the constants use only b's
-    period directions; the search runs only when all of that holds."""
-    if a._sub_sig & ~b._sub_sig or a._csum < b._csum:
+    a is in b iff span(a.periods) is in span(b.periods), cached per pair of
+    period sets, and the gap a.constant - b.constant is in span(b.periods):
+    natural and on b's period directions, which is tested before a search."""
+    if a._sub_sig & ~b._sub_sig or a._csum < b._csum or \
+       not _spans_within(a._gens, b._gens):
         return False
     gap = tuple(map(sub, a.constant, b.constant))
     if min(gap, default=0) < 0 or _support(gap) & ~b._pmask:
         return False
-    return _subsumed_search(a, b)
-
-
-@lru_cache(maxsize=1 << 16)
-def _subsumed_search(a: LinearSet, b: LinearSet) -> bool:
-    bset = set(b.periods)
-    return lin_membership(b, a.constant) and all(
-        p in bset or diophantine.solve_nonneg(b.periods, p) is not None
-        for p in a.periods)
+    return not any(gap) or _in_span(b.periods, gap)
 
 
 def _merge_pair(a: LinearSet, b: LinearSet) -> LinearSet | None:
@@ -201,7 +233,8 @@ def _merge_pair(a: LinearSet, b: LinearSet) -> LinearSet | None:
     If b.constant = a.constant + d with d nonzero and span(b.periods) equals
     span(a.periods + {d}), then a | b = a.constant + span(a.periods + {d}):
     elements using d at least once land in b, the rest lie in a."""
-    if a._csum >= b._csum or a._pmask & ~b._pmask:
+    if a._csum >= b._csum or a._pmask & ~b._pmask or \
+       not _spans_within(a._gens, b._gens):
         return None  # d must be nonzero; span(a.periods) must fit in b's
     d = tuple(map(sub, b.constant, a.constant))
     if min(d) < 0 or b._pmask & ~(a._pmask | _support(d)):
@@ -211,10 +244,9 @@ def _merge_pair(a: LinearSet, b: LinearSet) -> LinearSet | None:
 
 @lru_cache(maxsize=1 << 16)
 def _merge_search(a: LinearSet, b: LinearSet, d: Vec) -> LinearSet | None:
+    """The merge, given span(a.periods) inside span(b.periods)."""
     merged = a.periods + (d,)
-    if all(diophantine.solve_nonneg(b.periods, p) is not None
-           for p in merged) and \
-       all(diophantine.solve_nonneg(merged, q) is not None for q in b.periods):
+    if _in_span(b.periods, d) and all(_in_span(merged, q) for q in b.periods):
         return LinearSet(a.constant, merged)
     return None
 
@@ -228,7 +260,11 @@ def _prune_pairs(pairs: list) -> list:
     subsumer has a pointwise-smaller constant, so it precedes its subsumees
     unless the constants are equal.  Equal constants come in one run, more
     periods first, and a kept component also drops the earlier ones of its
-    run that it contains: periods {(1,0)} span all of {(2,0),(3,0)}."""
+    run that it contains: periods {(1,0)} span all of {(2,0),(3,0)}.
+
+    Support masks and constant weights reject most pairs before any call,
+    and the cached span containment of two period sets most of the rest
+    before any per-pair search."""
     seen = set()
     comps = []
     for l, w in pairs:
@@ -254,8 +290,12 @@ def _prune_pairs(pairs: list) -> list:
         for i in range(len(kept)):
             if merged:
                 break
-            for j in range(i + 1, len(kept)):  # sorted: a merge needs _csum
-                m = _merge_pair(kept[i][0], kept[j][0])  # strictly below b's
+            a = kept[i][0]
+            for j in range(i + 1, len(kept)):
+                b = kept[j][0]  # _merge_pair's first rejects, inline
+                if a._csum >= b._csum or a._pmask & ~b._pmask:
+                    continue
+                m = _merge_pair(a, b)
                 if m is not None:
                     del kept[j]
                     kept[i] = (m, kept[i][1])

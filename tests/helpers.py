@@ -13,8 +13,10 @@ from itertools import product
 
 from parikhbound import (Cfg, GlobalConfiguration, PushdownNetwork, eb,
                          enumerate_words, parikh_image, parikh_of_word, trim)
+from parikhbound.diophantine import solve_nonneg
 from parikhbound.grammar import cfg, is_empty_language
-from parikhbound.semilinear import wit_minkowski, wit_singleton
+from parikhbound.semilinear import (lin_membership, linear_set, wit_minkowski,
+                                    wit_singleton)
 
 
 class Budget:
@@ -185,6 +187,26 @@ def _reference_substitute_word(wi, sigma_map, tau_map, out_alphabet) -> list:
     witnesses = [w for _, w in image.components if w]
     periodic = sum(1 for comp, _ in image.components if comp.periods)
     return greedy_collapse(witnesses + ti * periodic)
+
+
+def reference_lin_subsumed(a, b) -> bool:
+    """``_lin_subsumed`` by its definition, without the rejects before any
+    search: a's constant lies in b, and b's periods span each of a's."""
+    return lin_membership(b, a.constant) and all(
+        solve_nonneg(b.periods, p) is not None for p in a.periods)
+
+
+def reference_merge_pair(a, b):
+    """``_merge_pair`` by its definition: d = b.constant - a.constant,
+    natural and nonzero, and span(b.periods) = span(a.periods + {d})."""
+    d = tuple(y - x for x, y in zip(a.constant, b.constant))
+    if not any(d) or min(d) < 0:
+        return None
+    merged = a.periods + (d,)
+    if all(solve_nonneg(b.periods, p) is not None for p in merged) and \
+       all(solve_nonneg(merged, q) is not None for q in b.periods):
+        return linear_set(a.constant, merged)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,21 @@ def test_parikh_command(files, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["alphabet"] == ["a", "b"]
     assert payload["verified_to_length"] == 6
+    assert payload["verified"] is True
     assert all("constant" in c and "witness" in c for c in payload["components"])
+
+
+def test_parikh_verify_failure_still_prints_the_image(files, capsys,
+                                                      monkeypatch):
+    monkeypatch.setattr(cli, "_image_covers_words", lambda *args: False)
+    path = files("g.txt", ANBN_TEXT)
+    assert main(["parikh", path, "--verify", "6"]) == 1
+    out = capsys.readouterr().out
+    assert "alphabet: a b" in out
+    assert "# verified against enumeration to length 6: False" in out
+    assert main(["--format", "json", "parikh", path, "--verify", "6"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verified"] is False and payload["components"]
 
 
 def test_check_intersection_witness(files, capsys):

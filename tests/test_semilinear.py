@@ -4,17 +4,21 @@ from operator import add
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (CORE_CORPUS, G_EX, expand_semilinear, naive_lin_member,
-                     parikh_vectors)
+from helpers import (CORE_CORPUS, G_EX, expand_semilinear, full_corpus,
+                     naive_lin_member, parikh_vectors, reference_lin_subsumed,
+                     reference_merge_pair)
 from parikhbound import (LinearSet, SemilinearSet, cyk_membership,
                          linear_set, parikh_image, parikh_semilinear,
                          parikh_of_word, sl_from_text, sl_intersect,
                          sl_intersection_witness, sl_membership, sl_to_text,
                          trim, witness_for_vector)
+from parikhbound import semilinear
 from parikhbound.diophantine import solve_nonneg
-from parikhbound.semilinear import (_lin_subsumed, _merge_pair, lin_membership,
-                                    prune, sl_minkowski, sl_singleton,
-                                    sl_star, sl_union)
+from parikhbound.pdn import acceptor_to_cfg, encode_to_acceptors, family_instance
+from parikhbound.semilinear import (_lin_subsumed, _merge_pair, _prune_pairs,
+                                    _spans_within, prune, sl_minkowski,
+                                    sl_singleton, sl_star, sl_union)
+from test_caches import lru_caches
 
 vec2 = st.tuples(st.integers(0, 3), st.integers(0, 3))
 lin2 = st.builds(linear_set, vec2, st.lists(vec2, max_size=3).map(tuple))
@@ -90,19 +94,22 @@ def test_prune_merges_star_blowup():
 @st.composite
 def lin_pairs(draw):
     """Two 2-D or 3-D linear sets.  Half the period lists lie along axes, so
-    period supports often differ or are disjoint.  A third of the pairs put
-    the first set inside the second, and a third make the second the first
-    shifted by some d with d as an extra period, so that subsumptions and
-    merges occur; an extra random period may break either relation."""
+    period supports often differ or are disjoint.  A quarter of the pairs
+    share one period set, as most pairs in prune do; a quarter put the first
+    set inside the second, and a quarter make the second the first shifted
+    by some d with d as an extra period, so that subsumptions and merges
+    occur; an extra random period may break either relation."""
     n = draw(st.sampled_from((2, 3)))
     vec = st.tuples(*[st.integers(0, 3)] * n)
     axis = st.builds(lambda i, k: tuple(k if j == i else 0 for j in range(n)),
                      st.integers(0, n - 1), st.integers(1, 3))
     periods = st.lists(axis, max_size=2) | st.lists(axis | vec, max_size=2)
     b = linear_set(draw(vec), draw(periods))
-    mode = draw(st.sampled_from(("free", "inside", "shifted")))
+    mode = draw(st.sampled_from(("free", "shared", "inside", "shifted")))
     if mode == "free":
         return linear_set(draw(vec), draw(periods)), b
+    if mode == "shared":
+        return linear_set(draw(vec), b.periods), b
     extra = draw(st.lists(axis | vec, max_size=1))
     if mode == "shifted":
         d = draw(vec)
@@ -118,26 +125,6 @@ def lin_pairs(draw):
     return linear_set(point, own + extra), b
 
 
-def plain_subsumed(a, b):
-    """_lin_subsumed by its definition, without the rejects before any
-    search."""
-    return lin_membership(b, a.constant) and all(
-        solve_nonneg(b.periods, p) is not None for p in a.periods)
-
-
-def plain_merge(a, b):
-    """_merge_pair by its definition: d = b.constant - a.constant, natural
-    and nonzero, and span(b.periods) = span(a.periods + {d})."""
-    d = tuple(y - x for x, y in zip(a.constant, b.constant))
-    if not any(d) or min(d) < 0:
-        return None
-    merged = a.periods + (d,)
-    if all(solve_nonneg(b.periods, p) is not None for p in merged) and \
-       all(solve_nonneg(merged, q) is not None for q in b.periods):
-        return linear_set(a.constant, merged)
-    return None
-
-
 @settings(max_examples=400, deadline=None)
 @given(lin_pairs())
 @example((linear_set((1, 0), ((1, 0),)), linear_set((0, 0), ((0, 1),))))
@@ -145,11 +132,66 @@ def plain_merge(a, b):
           linear_set((1, 1), ((0, 1), (2, 0)))))
 def test_rejects_before_search_match_the_definitions(pair):
     for a, b in (pair, pair[::-1]):
-        subsumed = plain_subsumed(a, b)
+        subsumed = reference_lin_subsumed(a, b)
         assert _lin_subsumed(a, b) == subsumed
         # the mask test that _prune_pairs makes before calling _lin_subsumed
         assert not subsumed or not a._sub_sig & ~b._sub_sig
-        assert _merge_pair(a, b) == plain_merge(a, b)
+        assert _merge_pair(a, b) == reference_merge_pair(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lin_pairs())
+def test_spans_within_matches_its_definition(pair):
+    for a, b in (pair, pair[::-1]):
+        assert _spans_within(a._gens, b._gens) == all(
+            solve_nonneg(b.periods, p) is not None for p in a.periods)
+
+
+MIX_PERIODS = [(), ((1, 0),), ((0, 1),), ((1, 0), (0, 1)), ((2, 0),),
+               ((1, 1),), ((2, 0), (0, 1)), ((1, 0), (1, 1)), ((0, 2), (3, 0))]
+MIX_CONSTANTS = [(0, 0), (1, 0), (2, 1)]
+
+
+def test_period_sets_interned_before_and_after_cache_clear_mix():
+    """Linear sets built before and after every cache is cleared hold
+    different interned period sets for the same periods; mixed freely, they
+    must still compare, hash, subsume, merge and prune alike.  Each round
+    rebuilds the sets in another order, so a new period set may land at the
+    address of a freed one with other periods."""
+    def build(periods):
+        return [linear_set(c, ps) for ps in periods for c in MIX_CONSTANTS]
+
+    old = build(MIX_PERIODS)
+    pruned = [l for l, _ in _prune_pairs([(l, None) for l in old])]
+    for r in range(1, len(MIX_PERIODS)):
+        for cached in lru_caches().values():
+            cached.cache_clear()
+        new = build(MIX_PERIODS[r:] + MIX_PERIODS[:r])
+        twin = {(l.constant, l.periods): l for l in new}
+        mixed = []
+        for i, a in enumerate(old):
+            a2 = twin[(a.constant, a.periods)]
+            assert a == a2 and hash(a) == hash(a2) and a._gens is not a2._gens
+            mixed.append(a2 if i % 2 else a)
+        for a in old + new:
+            for b in old + new:
+                assert _lin_subsumed(a, b) == reference_lin_subsumed(a, b)
+                assert _merge_pair(a, b) == reference_merge_pair(a, b)
+        assert [l for l, _ in _prune_pairs([(l, None) for l in mixed])] \
+            == pruned
+
+
+def test_parikh_semilinear_under_reference_predicates(monkeypatch):
+    """Pruning with the plain definitions of subsumption and merge gives the
+    same Parikh images."""
+    grammars = full_corpus() + [acceptor_to_cfg(a) for a in
+                                encode_to_acceptors(*family_instance(3))]
+    expected = [parikh_semilinear(g) for g in grammars]
+    monkeypatch.setattr(semilinear, "_lin_subsumed", reference_lin_subsumed)
+    monkeypatch.setattr(semilinear, "_merge_pair", reference_merge_pair)
+    for cached in lru_caches().values():
+        cached.cache_clear()
+    assert [parikh_semilinear(g) for g in grammars] == expected
 
 
 @settings(max_examples=40, deadline=None)
