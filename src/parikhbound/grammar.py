@@ -125,6 +125,68 @@ def format_grammar(g: Cfg) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Least derivation relations
+
+
+def _derived(variables, productions, leaf, unit, join) -> dict[str, set]:
+    """For each variable, the least relation closed under its productions,
+    read as written (no normal form needed): a terminal a relates leaf(a),
+    an empty right-hand side relates unit, and a longer one relates the
+    left-to-right join of its symbols' relations.  A production is joined
+    again only when the relation of one of its right-hand symbols grows.
+
+    With state pairs and composition this is the relation of the Bar-Hillel
+    product; trimming, nullability and CYK are instances of it.  Enumeration
+    and Parikh witnesses stay on CNF: witness_for_vector keeps the first word
+    its evaluation order finds, and that word enters the bounded language,
+    so another order would change the output; enumerate_words checks its
+    budget per stored word, while a join builds a whole right-hand side's
+    words before any check, which on acceptor grammars runs for minutes
+    where the CNF table runs out of budget in under a second."""
+    rel: dict[str, set] = {x: set() for x in variables}
+    symbol: dict[str, set] = {}
+    users: dict[str, list[Production]] = {}
+    for production in productions:
+        for s in production[1]:
+            if s in rel:
+                users.setdefault(s, []).append(production)
+            elif s not in symbol:
+                symbol[s] = leaf(s)
+    symbol.update(rel)
+    work = list(productions)
+    queued = set(work)
+    while work:
+        lhs, rhs = production = work.pop()
+        queued.discard(production)
+        acc = symbol[rhs[0]] if rhs else unit
+        for s in rhs[1:]:
+            if not acc:
+                break
+            acc = join(acc, symbol[s])
+        new = acc - rel[lhs]
+        if new:
+            rel[lhs] |= new
+            for user in users.get(lhs, ()):
+                if user not in queued:
+                    queued.add(user)
+                    work.append(user)
+    return rel
+
+
+def _if_nonempty(left: set, right: set) -> set:
+    """Join of the emptiness relations: the left side when both derive."""
+    return left if right else set()
+
+
+def _compose(left: set, right: set) -> set:
+    """Join of the state-pair relations: relational composition."""
+    after: dict = {}
+    for q, r in right:
+        after.setdefault(q, []).append(r)
+    return {(p, r) for p, q in left for r in after.get(q, ())}
+
+
+# ---------------------------------------------------------------------------
 # Trimming and emptiness
 
 
@@ -135,15 +197,9 @@ def trim(g: Cfg) -> Cfg:
     If the language is empty the result keeps just the start variable and no
     productions.
     """
-    productive: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in g.productions:
-            if lhs not in productive and all(
-                    s in productive or s in g.terminals for s in rhs):
-                productive.add(lhs)
-                changed = True
+    derived = _derived(g.variables, g.productions, lambda a: {()}, {()},
+                       _if_nonempty)
+    productive = {x for x, r in derived.items() if r}
     keep = {(l, r) for (l, r) in g.productions
             if l in productive and all(s in productive or s in g.terminals for s in r)}
     reachable = {g.start}
@@ -183,36 +239,18 @@ class CnfGrammar:
 
 @lru_cache(maxsize=1 << 12)
 def to_cnf(g: Cfg) -> CnfGrammar:
-    g = trim(g)
+    g = binarize(trim(g))
     if not g.productions:
         return CnfGrammar(g.start, (), (), False)
-    prods: set[Production] = set(g.productions)
-    variables = set(g.variables)
-
-    # BIN: cut right-hand sides down to length <= 2
-    for lhs, rhs in sorted(prods):
-        if len(rhs) > 2:
-            prods.discard((lhs, rhs))
-            head = lhs
-            for i in range(len(rhs) - 2):
-                nxt = fresh("cnf")
-                variables.add(nxt)
-                prods.add((head, (rhs[i], nxt)))
-                head = nxt
-            prods.add((head, rhs[-2:]))
+    variables = g.variables
 
     # DEL: eliminate nullable occurrences
-    nullable: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in prods:
-            if lhs not in nullable and all(s in nullable for s in rhs):
-                nullable.add(lhs)
-                changed = True
+    derived = _derived(variables, g.productions, lambda a: set(), {()},
+                       _if_nonempty)
+    nullable = {x for x, r in derived.items() if r}
     eps_in_language = g.start in nullable
     expanded: set[Production] = set()
-    for lhs, rhs in prods:
+    for lhs, rhs in g.productions:
         subsets = [()]
         for s in rhs:
             if s in nullable:
@@ -222,24 +260,14 @@ def to_cnf(g: Cfg) -> CnfGrammar:
         for t in subsets:
             if t:
                 expanded.add((lhs, t))
-    prods = expanded
 
-    # UNIT: eliminate X -> Y chains
-    unit_pairs = {(x, x) for x in variables}
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in prods:
-            if len(rhs) == 1 and rhs[0] in variables:
-                for (a, b) in list(unit_pairs):
-                    if b == lhs and (a, rhs[0]) not in unit_pairs:
-                        unit_pairs.add((a, rhs[0]))
-                        changed = True
-    final: set[Production] = set()
-    for a, b in unit_pairs:
-        for lhs, rhs in prods:
-            if lhs == b and not (len(rhs) == 1 and rhs[0] in variables):
-                final.add((a, rhs))
+    # UNIT: eliminate X -> Y chains.  Every other right-hand side enters the
+    # engine as one leaf symbol, so X relates each one its chains reach, and
+    # no production is long enough to need a join.
+    chains = {(lhs, rhs if len(rhs) == 1 and rhs[0] in variables else (rhs,))
+              for lhs, rhs in expanded}
+    reached = _derived(variables, chains, lambda rhs: {rhs}, set(), None)
+    final = {(x, rhs) for x, rhss in reached.items() for rhs in rhss}
 
     # TERM: lift terminals occurring inside binary rules
     lift: dict[str, str] = {}
@@ -264,28 +292,13 @@ def to_cnf(g: Cfg) -> CnfGrammar:
 
 
 def cyk_membership(g: Cfg, w: Word) -> bool:
-    cnf = to_cnf(g)
-    if len(w) == 0:
-        return cnf.eps_in_language
+    """Whether g derives w, from the spans (i, j) of w each variable derives."""
+    g = trim(g)
     n = len(w)
-    by_terminal: dict[str, set[str]] = {}
-    for x, a in cnf.unary:
-        by_terminal.setdefault(a, set()).add(x)
-    table = [[set() for _ in range(n + 1)] for _ in range(n)]
-    for i, a in enumerate(w):
-        table[i][1] = set(by_terminal.get(a, set()))
-    for span in range(2, n + 1):
-        for i in range(n - span + 1):
-            cell = table[i][span]
-            for split in range(1, span):
-                left = table[i][split]
-                right = table[i + split][span - split]
-                if not left or not right:
-                    continue
-                for x, y, z in cnf.binary:
-                    if y in left and z in right:
-                        cell.add(x)
-    return cnf.start in table[0][n]
+    spans = _derived(g.variables, g.productions,
+                     lambda a: {(i, i + 1) for i in range(n) if w[i] == a},
+                     {(i, i) for i in range(n + 1)}, _compose)
+    return (0, n) in spans[g.start]
 
 
 def enumerate_words(g: Cfg, max_length: int, budget: int = 500_000) -> list[Word]:
@@ -517,14 +530,9 @@ def transducer_product(g: Cfg, t: Transducer) -> Cfg:
         if a in outputs:
             outputs[a].setdefault((q, q2), []).append(out)
     # rel[x] = set of (q, q2) such that [q,x,q2] derives a word
-    rel: dict[str, set] = {a: set(moves) for a, moves in outputs.items()}
-    rel.update((x, set()) for x in g.variables)
-    prods_by_lhs: dict[str, list] = {}
-    users: dict[str, list[Production]] = {}
-    for lhs, rhs in g.productions:
-        prods_by_lhs.setdefault(lhs, []).append(rhs)
-        for s in rhs:
-            users.setdefault(s, []).append((lhs, rhs))
+    rel = _derived(g.variables, g.productions, lambda a: set(outputs[a]),
+                   {(q, q) for q in t.states}, _compose)
+    rel.update((a, set(moves)) for a, moves in outputs.items())
 
     def runs(rhs):
         """State sequences q0..qn along which every symbol of rhs derives."""
@@ -537,33 +545,17 @@ def transducer_product(g: Cfg, t: Transducer) -> Cfg:
             by_src.setdefault(q1, []).append(q2)
         return [(q0, q1, q2) for q0, q1 in rel[rhs[0]] for q2 in by_src.get(q1, ())]
 
-    # a production is rechecked only when the relation of one of its
-    # right-hand symbols grows
-    work = list(g.productions)
-    queued = set(work)
-    while work:
-        lhs, rhs = production = work.pop()
-        queued.discard(production)
-        new = {(run[0], run[-1]) for run in runs(rhs)} - rel[lhs]
-        if new:
-            rel[lhs] |= new
-            for user in users.get(lhs, ()):
-                if user not in queued:
-                    queued.add(user)
-                    work.append(user)
-
     def tv(x, q, q2):
         return f"[{q},{x},{q2}]"
 
     prods: set[Production] = set()
-    for x, alts in prods_by_lhs.items():
-        for rhs in alts:
-            moves = [outputs.get(s) for s in rhs]  # None for a variable
-            for run in runs(rhs):
-                pieces = [[(tv(s, q, q2),)] if out is None else out[q, q2]
-                          for s, out, q, q2 in zip(rhs, moves, run, run[1:])]
-                for parts in product(*pieces):
-                    prods.add((tv(x, run[0], run[-1]), sum(parts, ())))
+    for x, rhs in g.productions:
+        moves = [outputs.get(s) for s in rhs]  # None for a variable
+        for run in runs(rhs):
+            pieces = [[(tv(s, q, q2),)] if out is None else out[q, q2]
+                      for s, out, q, q2 in zip(rhs, moves, run, run[1:])]
+            for parts in product(*pieces):
+                prods.add((tv(x, run[0], run[-1]), sum(parts, ())))
     start = fresh("S")
     for qf in t.accepting:
         if (t.initial, qf) in rel[g.start]:

@@ -384,11 +384,10 @@ def sl_intersect(a: SemilinearSet, b: SemilinearSet) -> SemilinearSet:
     return prune(SemilinearSet(a.dim, tuple(comps)))
 
 
-# Node budgets of the two Diophantine searches in _lin_common_vector: the
-# short one runs first and settles most pairs; the full one runs only when
-# the short one is spent.
-SHORT_SEARCH_NODES = 5_000
-FULL_SEARCH_NODES = 300_000
+# Node budget of the Diophantine search in _lin_common_vector.  A completed
+# search finds the same solutions under any budget, so a smaller first try
+# would only add work when it runs out.
+SEARCH_NODES = 300_000
 
 
 def _lin_common_vector(a: LinearSet, b: LinearSet) -> Vec | None:
@@ -396,9 +395,8 @@ def _lin_common_vector(a: LinearSet, b: LinearSet) -> Vec | None:
     disjoint; BudgetError when neither is settled.
 
     In order: a constant of one set that lies in the other; the complete
-    solution set under a small node budget; the complete solution set under
-    the full budget.  A completed search with no particular solution proves
-    the pair disjoint."""
+    solution set of the pair's system.  A completed search with no
+    particular solution proves the pair disjoint."""
     if lin_membership(b, a.constant):
         return a.constant
     if lin_membership(a, b.constant):
@@ -406,12 +404,7 @@ def _lin_common_vector(a: LinearSet, b: LinearSet) -> Vec | None:
     columns, target = _pair_system(a, b)
     if not columns:
         return None
-    try:
-        particular, _ = diophantine.solve_system(columns, target,
-                                                 SHORT_SEARCH_NODES)
-    except BudgetError:
-        particular, _ = diophantine.solve_system(columns, target,
-                                                 FULL_SEARCH_NODES)
+    particular, _ = diophantine.solve_system(columns, target, SEARCH_NODES)
     if not particular:
         return None
     return min(_lin_point(a, part) for part in particular)
@@ -569,8 +562,9 @@ def _scc_blocks(deps: dict, order) -> list[list]:
 
 
 def _solve_block(block, matrix, rhs, dim):
-    """Gaussian elimination with Kleene star on the diagonal, on one
-    strongly connected block."""
+    """Least solution of x = M x + b over the semilinear semiring on the
+    variables of one block, by Gaussian elimination with Kleene star on the
+    diagonal."""
     matrix = dict(matrix)
     rhs = dict(rhs)
     eliminated = []
@@ -598,32 +592,6 @@ def _solve_block(block, matrix, rhs, dim):
             if not values[j].is_empty():
                 acc = prune(sl_union(acc, sl_minkowski(rv, values[j])))
         values[k] = acc
-    return values
-
-
-def _solve_linear(order, matrix, rhs, dim):
-    """Least solution of x = M x + b over the semilinear semiring.  The
-    system is split along the strongly connected blocks of its dependency
-    graph; each block is eliminated on its own after the already-solved
-    blocks it reads from are substituted into its right-hand side."""
-    deps = {x: set() for x in order}
-    for (i, j) in matrix:
-        deps[i].add(j)
-    values: dict[str, SemilinearSet] = {}
-    for block in _scc_blocks(deps, sorted(order)):
-        in_block = set(block)
-        sub = {}
-        b = {}
-        for i in block:
-            acc = rhs[i]
-            for j in sorted(deps[i]):
-                if j in in_block:
-                    sub[(i, j)] = matrix[(i, j)]
-                elif not values[j].is_empty():
-                    acc = prune(sl_union(
-                        acc, sl_minkowski(matrix[(i, j)], values[j])))
-            b[i] = acc
-        values.update(_solve_block(block, sub, b, dim))
     return values
 
 
@@ -681,7 +649,7 @@ def _newton(g: Cfg) -> tuple[tuple[tuple[str, SemilinearSet], ...], int]:
                         cur = matrix.get((x, y))
                         matrix[(x, y)] = (prune(sl_union(cur, term))
                                           if cur else term)
-            new_kappa = _solve_linear(order, matrix, rhs, dim)
+            new_kappa = _solve_block(order, matrix, rhs, dim)
             for x in order:
                 new_kappa[x] = prune(sl_union(new_kappa[x], kappa[x]))
             if all(sl_subset_sound(new_kappa[x], kappa[x]) for x in order):

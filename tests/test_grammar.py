@@ -1,23 +1,58 @@
+import importlib.util
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from helpers import (ANBN, CORE_CORPUS, DYCK1, G_EX, PALIN, full_corpus,
-                     per_length_parikh)
-from parikhbound import (Cfg, InputError, alphabet, block_projection,
-                         cyk_membership, enumerate_words, format_grammar,
-                         parse_grammar, product_with_dfa, simplify, substitute,
-                         trim)
-from parikhbound.grammar import (binarize, cfg, concat_grammars, finite_cfg,
+from helpers import (ANBN, CORE_CORPUS, DYCK1, G_EX, PALIN, Budget,
+                     full_corpus, per_length_parikh)
+from parikhbound import (BudgetError, Cfg, InputError, alphabet,
+                         block_projection, cyk_membership, enumerate_words,
+                         format_grammar, parse_grammar, product_with_dfa,
+                         simplify, substitute, trim)
+from parikhbound.grammar import (cfg, concat_grammars, finite_cfg,
                                  is_empty_language, to_cnf, union_grammars)
+from parikhbound.pdn import acceptor_to_cfg, encode_to_acceptors, family_instance
 from parikhbound.symbols import (chars, determinize, eb, eb_complement_dfa,
                                  eb_to_nfa)
 
 AB = alphabet(["a", "b"])
 
+ORACLES = Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
+
+
+def _oracles():
+    """The benchmark's reference computations, which decide membership and
+    enumerate words straight from the productions."""
+    spec = importlib.util.spec_from_file_location("oracles", ORACLES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracles = _oracles()
+
+# Grammars whose shapes the normal-form steps treat specially
+ODD_SHAPES = [
+    # epsilon-productions, on the start variable and inside
+    parse_grammar("S -> A S B | eps\nA -> a | eps\nB -> b"),
+    # a unit cycle
+    parse_grammar("X -> Y | a\nY -> X | b"),
+    # a variable with no productions, once optional and once needed
+    cfg({"S", "Z"}, ["a", "b"], [("S", ("a", "Z")), ("S", ("b", "a"))], "S"),
+    cfg({"S", "Z"}, ["a", "b"], [("S", ("a", "Z")), ("S", ("Z",))], "S"),
+    # a chain of nullable variables
+    parse_grammar("S -> A a A\nA -> B\nB -> C C\nC -> D | b\nD -> eps"),
+]
+
 
 def words_set(g, n):
     return set(enumerate_words(trim(g), n))
+
+
+def words_over(sigma, n):
+    """Every word over sigma of length at most n."""
+    return [w for k in range(n + 1) for w in product(sigma, repeat=k)]
 
 
 def test_parse_format_round_trip():
@@ -81,25 +116,60 @@ def test_enumerate_words_fixtures():
 
 
 def test_to_cnf_preserves_language():
-    for g in (G_EX, PALIN):
+    for g in full_corpus() + ODD_SHAPES:
         cnf = to_cnf(g)
-        # binarized/normalized grammar decides the same membership
-        for w in words_set(g, 5):
-            assert cyk_membership(g, w)
-        assert binarize(g).start == trim(g).start
+        start = "cnf-start"
+        prods = ([(x, (y, z)) for x, y, z in cnf.binary]
+                 + [(x, (a,)) for x, a in cnf.unary]
+                 + [(start, (cnf.start,))] + [(start, ())] * cnf.eps_in_language)
+        variables = {start, cnf.start} | {x for r in cnf.binary for x in r} | {
+            x for x, _ in cnf.unary}
+        rebuilt = cfg(variables, g.terminals, prods, start)
+        assert oracles.words_upto(rebuilt, 5) == oracles.words_upto(g, 5)
+
+
+def test_cyk_agrees_with_derivation_oracle():
+    for g in full_corpus() + ODD_SHAPES:
+        for w in words_over(g.terminals.symbols, 6):
+            assert cyk_membership(g, w) == oracles.derives(g, w), (g.start, w)
+
+
+def test_trim_and_emptiness_agree_with_oracle():
+    empty = cfg({"S", "U"}, ["a"], [("S", ("a", "U")), ("U", ("U", "a"))], "S")
+    for g in full_corpus() + ODD_SHAPES + [empty]:
+        words = oracles.words_upto(g, 6)
+        assert is_empty_language(g) == (not words)
+        t = trim(g)
+        assert oracles.words_upto(t, 6) == words
+        # every variable trim keeps derives a word
+        for x in t.variables - {t.start}:
+            assert oracles.words_upto(Cfg(t.variables, t.terminals,
+                                          t.productions, x), 6), x
+
+
+def test_enumeration_of_an_acceptor_grammar_ends():
+    # set joins over whole right-hand sides ran for minutes here before the
+    # budget on stored words could fire
+    g = acceptor_to_cfg(encode_to_acceptors(*family_instance(1))[0])
+    with Budget(10):
+        try:
+            enumerate_words(g, 7)
+        except BudgetError:
+            pass
 
 
 def test_product_with_dfa_filters_language():
     bounded = [eb([("a",), ("b",)]),  # a* b*
                eb([("a", "b"), ("a",), ("b", "a"), ("a", "b")])]
-    for g in full_corpus():
-        g, sigma = trim(g), g.terminals
+    for g in full_corpus() + ODD_SHAPES:
+        sigma = g.terminals
         for b in bounded:
             # B itself, and its complement as refine uses it
             for dfa in (determinize(eb_to_nfa(b, sigma), sigma),
                         eb_complement_dfa(b, sigma)):
-                expected = {w for w in words_set(g, 6) if dfa.accepts(w)}
-                assert words_set(product_with_dfa(g, dfa), 6) == expected
+                expected = {w for w in oracles.words_upto(g, 6)
+                            if dfa.accepts(w)}
+                assert oracles.words_upto(product_with_dfa(g, dfa), 6) == expected
 
 
 def test_block_projection_counts_blocks():

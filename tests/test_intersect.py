@@ -115,8 +115,7 @@ def test_instance_requires_grammar():
 
 
 def _zero_node_budgets(monkeypatch):
-    for name in ("SHORT_SEARCH_NODES", "FULL_SEARCH_NODES"):
-        monkeypatch.setattr(semilinear, name, 0)
+    monkeypatch.setattr(semilinear, "SEARCH_NODES", 0)
 
 
 def test_exhausted_budget_never_answers_empty(monkeypatch):
