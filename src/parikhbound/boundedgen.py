@@ -11,6 +11,7 @@ composition levels via the power and substitution constructions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import SoundnessError
 from .grammar import (Cfg, LinearGrammar, cfg_rename_terminals, enumerate_words,
@@ -181,11 +182,20 @@ def bounded_for_substitution(b: ElementaryBounded,
     ``sigma_map``, ``tau_map`` or ``out_alphabet``.
     """
     memo = {} if memo is None else memo
+    parts: dict[str, WitnessedSemilinear] = {}
 
     def empty(a: str) -> bool:
         if a not in memo:
             memo[a] = is_empty_language(sigma_map[a])
         return memo[a]
+
+    def part(a: str) -> WitnessedSemilinear:
+        """The witnessed Parikh image of letter a's language, once per call."""
+        if a not in parts:
+            parts[a] = (parikh_image(sigma_map[a]) if a in sigma_map
+                        else wit_singleton(parikh_of_word((a,), out_alphabet),
+                                           (a,)))
+        return parts[a]
 
     for wi in dict.fromkeys(b.words):
         if wi in memo:
@@ -195,14 +205,8 @@ def bounded_for_substitution(b: ElementaryBounded,
         elif any(a in sigma_map and empty(a) for a in wi):
             memo[wi] = eb([])
         else:
-            # Parikh(Li) is the Minkowski sum of the per-letter images,
-            # which are shared across words
-            image = None
-            for a in wi:
-                part = (parikh_image(sigma_map[a]) if a in sigma_map
-                        else wit_singleton(parikh_of_word((a,), out_alphabet),
-                                           (a,)))
-                image = part if image is None else wit_minkowski(image, part)
+            # Parikh(Li) is the Minkowski sum of the per-letter images
+            image = reduce(wit_minkowski, map(part, wi))
             ti = eb_concat(*[tau_map.get(a, eb([(a,)])) for a in wi])
             memo[wi] = _powers_from_image(image, ti)
     return eb_concat(*map(memo.__getitem__, b.words))
@@ -214,10 +218,15 @@ def bounded_for_substitution(b: ElementaryBounded,
 
 def algorithm1_bounded_sequence(kf: KFoldComposition,
                                 btilde: dict[str, ElementaryBounded],
-                                trace: list | None = None
-                                ) -> dict[str, ElementaryBounded]:
+                                root: str,
+                                trace: list | None = None) -> ElementaryBounded:
     """Turn bounded languages for the differential grammar's variable
-    languages into bounded languages for each nu_depth(X)."""
+    languages into a bounded language for nu_depth(root).
+
+    Only root's chain is substituted: the maps of every level come from the
+    differential grammar and btilde, never from another variable's chain,
+    so the other chains cannot change root's.  ``trace`` receives
+    (level, {root: B}) per level."""
     gt = kf.differential
     base_sigma = kf.base.terminals
     variables = sorted(kf.base.variables)
@@ -233,12 +242,15 @@ def algorithm1_bounded_sequence(kf: KFoldComposition,
         return alphabet(sorted(base_sigma.symbols)
                         + [level_symbol(y, i) for y in variables])
 
-    if kf.depth == 0:
-        return {x: eb(kf.base_words(x)) for x in variables}
+    def record(level, b: ElementaryBounded) -> None:
+        if trace is not None:
+            trace.append((level, {root: b}))
 
-    current = {x: rename_eb(btilde[x], kf.depth - 1) for x in variables}
-    if trace is not None:
-        trace.append((kf.depth - 1, dict(current)))
+    if kf.depth == 0:
+        return eb(kf.base_words(root))
+
+    current = rename_eb(btilde[root], kf.depth - 1)
+    record(kf.depth - 1, current)
     for i in range(kf.depth - 2, -1, -1):
         out_sigma = sigma_alphabet(i)
         sig = {}
@@ -249,19 +261,13 @@ def algorithm1_bounded_sequence(kf: KFoldComposition,
             sig[level_symbol(y, i + 1)] = Cfg(rooted.variables, out_sigma,
                                               rooted.productions, y)
             tau[level_symbol(y, i + 1)] = rename_eb(btilde[y], i)
-        memo: dict = {}
-        current = {x: bounded_for_substitution(current[x], sig, tau, out_sigma, memo)
-                   for x in variables}
-        if trace is not None:
-            trace.append((i, dict(current)))
+        current = bounded_for_substitution(current, sig, tau, out_sigma)
+        record(i, current)
     sig0 = {level_symbol(y, 0): finite_cfg(list(kf.base_words(y)), base_sigma)
             for y in variables}
     tau0 = {level_symbol(y, 0): eb(kf.base_words(y)) for y in variables}
-    memo = {}
-    result = {x: bounded_for_substitution(current[x], sig0, tau0, base_sigma, memo)
-              for x in variables}
-    if trace is not None:
-        trace.append(("final", dict(result)))
+    result = bounded_for_substitution(current, sig0, tau0, base_sigma)
+    record("final", result)
     return result
 
 
@@ -284,7 +290,7 @@ def parikh_equivalent_bounded(g: Cfg, depth: int | None = None,
     for x in sorted(g.variables):
         rooted = LinearGrammar(gt.variables, gt.terminals, gt.productions, x)
         btilde[x] = bounded_for_linear(rooted)
-    return algorithm1_bounded_sequence(kf, btilde, trace)[g.start]
+    return algorithm1_bounded_sequence(kf, btilde, g.start, trace)
 
 
 def bounded_subset(g: Cfg, b: ElementaryBounded | None = None) -> Cfg:

@@ -39,10 +39,6 @@ def cmd_bound(args) -> int:
     g = parse_grammar(_read(args.grammar))
     trace: list | None = [] if args.emit_proof else None
     b = parikh_equivalent_bounded(g, trace=trace)
-    if args.verify:
-        if not verify_parikh_property(trim(g), b, args.verify):
-            print("verification failed", file=sys.stderr)
-            return 1
     text = eb_to_text(b)
     payload = {"bounded": [" ".join(w) for w in b.words]}
     if args.subset:
@@ -55,10 +51,16 @@ def cmd_bound(args) -> int:
                               for x, bx in per_var.items()}}
                  for level, per_var in trace]
         payload["levels"] = proof
-        text += "\n" + "\n".join(f"# level {p['level']}: " + json.dumps(p["bounded"])
-                                 for p in proof)
+        text += "\n" + "".join(f"# level {p['level']}: " + json.dumps(p["bounded"])
+                                + "\n" for p in proof)
+    ok = True
+    if args.verify:
+        ok = verify_parikh_property(trim(g), b, args.verify)
+        payload["verified_to_length"] = args.verify
+        payload["verified"] = ok
+        text += f"# verified against enumeration to length {args.verify}: {ok}\n"
     _emit(args, payload, text)
-    return 0
+    return 0 if ok else 1
 
 
 def _image_covers_words(g, sl, length: int) -> bool:
@@ -163,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset", action="store_true",
                    help="also print a grammar for L intersect B")
     p.add_argument("--emit-proof", action="store_true",
-                   help="print the per-level bounded languages")
+                   help="print the bounded language of the start variable "
+                        "at each composition level")
     p.add_argument("--verify", type=int, default=0, metavar="N",
                    help="re-check the result by enumeration up to length N")
     p.set_defaults(func=cmd_bound)

@@ -287,6 +287,15 @@ def to_cnf(g: Cfg) -> CnfGrammar:
                         unary.add((lift[s], s))
                     parts.append(lift[s])
             binary.add((lhs, parts[0], parts[1]))
+
+    # drop binary rules naming a variable that derives no word, such as one
+    # that was only nullable; after TERM, so that no fresh name changes
+    derives = _derived({x for rule in binary for x in rule}
+                       | {x for x, _ in unary},
+                       {(x, (y, z)) for x, y, z in binary}
+                       | {(x, (a,)) for x, a in unary},
+                       lambda a: {()}, set(), _if_nonempty)
+    binary = {(x, y, z) for x, y, z in binary if derives[y] and derives[z]}
     return CnfGrammar(g.start, tuple(sorted(binary)), tuple(sorted(unary)),
                       eps_in_language)
 

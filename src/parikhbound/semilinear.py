@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import count
 from operator import add, or_, sub
 
 from . import diophantine
@@ -111,16 +112,26 @@ class LinearSet:
 
 @dataclass(frozen=True)
 class SemilinearSet:
+    """A finite union of linear sets, kept sorted.  Two hints that are not
+    fields, so equality and hash ignore them: ``_pruned`` marks a set whose
+    components no step of _prune_pairs would drop or merge (any set of at
+    most one component, and what prune and sl_minkowski return), and
+    ``_parts`` holds the sets sl_union joined."""
+
     dim: int
     components: tuple[LinearSet, ...]
+    _pruned = False
+    _parts = ()
 
     def __post_init__(self):
         for c in self.components:
             if c.dim != self.dim:
                 raise InputError("mixed dimensions in semilinear set")
-        object.__setattr__(self, "components",
-                           tuple(sorted(set(self.components),
-                                        key=lambda l: (l.constant, l.periods))))
+        comps = tuple(sorted(set(self.components),
+                             key=lambda l: (l.constant, l.periods)))
+        object.__setattr__(self, "components", comps)
+        if len(comps) < 2:
+            object.__setattr__(self, "_pruned", True)
 
     def is_empty(self) -> bool:
         return not self.components
@@ -151,13 +162,17 @@ def sl_singleton(v: Vec) -> SemilinearSet:
 
 
 def sl_union(*sets: SemilinearSet) -> SemilinearSet:
+    """The union; it keeps its parts, so that prune of it tests no pair of
+    components from one pruned part."""
     dim = sets[0].dim
     comps: list[LinearSet] = []
     for s in sets:
         if s.dim != dim:
             raise InputError("dimension mismatch in union")
         comps.extend(s.components)
-    return SemilinearSet(dim, tuple(comps))
+    out = SemilinearSet(dim, tuple(comps))
+    object.__setattr__(out, "_parts", sets)
+    return out
 
 
 def _lin_minkowski(a: LinearSet, b: LinearSet) -> LinearSet:
@@ -169,10 +184,25 @@ def _lin_minkowski(a: LinearSet, b: LinearSet) -> LinearSet:
     return out
 
 
+def _is_point(s: SemilinearSet) -> bool:
+    return len(s.components) == 1 and not s.components[0].periods
+
+
 @lru_cache(maxsize=1 << 8)
 def sl_minkowski(a: SemilinearSet, b: SemilinearSet) -> SemilinearSet:
+    """a + b, pruned.  When one operand is a single vector t the sum is
+    prune(other) + t, with no pruning of its own: _prune_pairs commutes with
+    translation (see there)."""
     if a.dim != b.dim:
         raise InputError("dimension mismatch in Minkowski sum")
+    if _is_point(b):
+        a, b = b, a
+    if _is_point(a):
+        (t,) = a.components
+        out = SemilinearSet(a.dim, tuple(_lin_minkowski(x, t)
+                                         for x in prune(b).components))
+        object.__setattr__(out, "_pruned", True)
+        return out
     comps = tuple(_lin_minkowski(x, y) for x in a.components for y in b.components)
     return prune(SemilinearSet(a.dim, comps))
 
@@ -251,10 +281,17 @@ def _merge_search(a: LinearSet, b: LinearSet, d: Vec) -> LinearSet | None:
     return None
 
 
-def _prune_pairs(pairs: list) -> list:
+def _prune_key(cw) -> tuple:
+    """The scan order of _prune_pairs on (component, payload) pairs."""
+    c = cw[0]
+    return (c._csum, c.constant, -len(c.periods), c.periods)
+
+
+def _prune_pairs(pairs: list, group: dict | None = None) -> list:
     """Pruning core on (LinearSet, payload) pairs: drop components provably
     contained in a kept one and apply exact pairwise merges until stable; a
-    merge keeps the payload of the component providing the constant.
+    merge keeps the payload of the component providing the constant.  The
+    result is sorted by _prune_key.
 
     For subsumption, components are scanned by increasing constant weight; a
     subsumer has a pointwise-smaller constant, so it precedes its subsumees
@@ -264,45 +301,71 @@ def _prune_pairs(pairs: list) -> list:
 
     Support masks and constant weights reject most pairs before any call,
     and the cached span containment of two period sets most of the rest
-    before any per-pair search."""
+    before any per-pair search.
+
+    Lemma: for every ordered pair (a, b) of distinct components in the
+    result, _lin_subsumed(a, b) and _merge_pair(a, b) both fail.  The last
+    pass merged nothing, and its merge scan tried every pair (a, b) with a
+    before b; with b before a, a._csum >= b._csum fails _merge_pair.  Say
+    _lin_subsumed(a, b) held.  If the constants differ, b's weight is
+    smaller, so b was kept before a was scanned, and a would have been
+    dropped.  If they are equal, then either b came first, as before, or a
+    did and b dropped it from their run when b was kept.  The same argument
+    with a = b, as _lin_subsumed(a, a) holds, shows that no two components
+    of the result are equal.  Skipping tests that cannot succeed, as below,
+    changes nothing in this run.
+
+    Both tests read only the difference of the two constants and the two
+    period sets; the zero bits of _sub_sig only reject pairs whose gap is
+    negative anyway.  So the lemma holds for any translate of a result, and
+    _prune_pairs commutes with translation: the key order, every test and
+    every merge move along with the constants.
+
+    ``group`` maps components of inputs known to be pruned to an input
+    index.  By the lemma, no test between two components of one input can
+    succeed, so such pairs are skipped.  Every other component, and every
+    merged one, gets a group of its own and is tested against everything.
+    """
+    group = group or {}
+    own = count(-1, -1)
     seen = set()
     comps = []
     for l, w in pairs:
         if l not in seen:
             seen.add(l)
-            comps.append((l, w))
+            comps.append((l, w, group[l] if l in group else next(own)))
     while True:
-        comps.sort(key=lambda cw: (cw[0]._csum, cw[0].constant,
-                                   -len(cw[0].periods), cw[0].periods))
+        comps.sort(key=_prune_key)
         kept: list = []
-        for c, w in comps:
+        for c, w, g in comps:
             sig = c._sub_sig  # spares most pairs the call to _lin_subsumed
-            if any(not sig & ~d._sub_sig and _lin_subsumed(c, d)
-                   for d, _ in kept):
+            if any(e != g and not sig & ~d._sub_sig and _lin_subsumed(c, d)
+                   for d, _, e in kept):
                 continue
             run = len(kept)
             while run and kept[run - 1][0].constant == c.constant:
                 run -= 1
-            kept[run:] = [(d, v) for d, v in kept[run:]
-                          if d._sub_sig & ~sig or not _lin_subsumed(d, c)]
-            kept.append((c, w))
+            kept[run:] = [(d, v, e) for d, v, e in kept[run:]
+                          if e == g or d._sub_sig & ~sig
+                          or not _lin_subsumed(d, c)]
+            kept.append((c, w, g))
         merged = False
         for i in range(len(kept)):
             if merged:
                 break
-            a = kept[i][0]
+            a, _, ga = kept[i]
             for j in range(i + 1, len(kept)):
-                b = kept[j][0]  # _merge_pair's first rejects, inline
-                if a._csum >= b._csum or a._pmask & ~b._pmask:
+                b, _, gb = kept[j]  # _merge_pair's first rejects, inline
+                if ga == gb or a._csum >= b._csum or a._pmask & ~b._pmask:
                     continue
                 m = _merge_pair(a, b)
                 if m is not None:
                     del kept[j]
-                    kept[i] = (m, kept[i][1])
+                    kept[i] = (m, kept[i][1], next(own))
                     merged = True
                     break
         if not merged:
-            return kept
+            return [(c, w) for c, w, _ in kept]
         comps = kept
 
 
@@ -310,9 +373,22 @@ def _prune_pairs(pairs: list) -> list:
 def prune(s: SemilinearSet) -> SemilinearSet:
     """The same set from no more components (a sound reduction, not a normal
     form; see _prune_pairs).  Memoised: the result depends on the component
-    set alone, since _prune_pairs sorts by a total key."""
-    kept = _prune_pairs([(c, None) for c in s.components])
-    return SemilinearSet(s.dim, tuple(c for c, _ in kept))
+    set alone, since _prune_pairs sorts by a total key.
+
+    A set already pruned is returned as it is, which by the lemma of
+    _prune_pairs is what pruning it would give.  For a union, no pair of
+    components from one pruned part is tested."""
+    if s._pruned:
+        return s
+    group: dict = {}
+    for i, part in enumerate(s._parts):
+        if part._pruned:
+            for c in part.components:
+                group.setdefault(c, i)
+    kept = _prune_pairs([(c, None) for c in s.components], group)
+    out = SemilinearSet(s.dim, tuple(c for c, _ in kept))
+    object.__setattr__(out, "_pruned", True)
+    return out
 
 
 def wit_singleton(vec, word: Word) -> WitnessedSemilinear:
@@ -324,11 +400,18 @@ def wit_singleton(vec, word: Word) -> WitnessedSemilinear:
 def wit_minkowski(a: WitnessedSemilinear,
                   b: WitnessedSemilinear) -> WitnessedSemilinear:
     """Minkowski sum with witness words concatenated per component; this is
-    the witnessed Parikh image of a language concatenation."""
+    the witnessed Parikh image of a language concatenation.  Both operands
+    must be pruned, as every witnessed set this module builds is; then a sum
+    with a single vector is a translate of a pruned set and needs only the
+    sort (see _prune_pairs)."""
     if a.dim != b.dim:
         raise InputError("dimension mismatch in Minkowski sum")
     pairs = [(_lin_minkowski(x, y), wx + wy)
              for x, wx in a.components for y, wy in b.components]
+    if any(len(s.components) == 1 and not s.components[0][0].periods
+           for s in (a, b)):
+        # a translate of the other operand, which is pruned
+        return WitnessedSemilinear(a.dim, tuple(sorted(pairs, key=_prune_key)))
     return WitnessedSemilinear(a.dim, tuple(_prune_pairs(pairs)))
 
 

@@ -13,10 +13,15 @@ from itertools import product
 
 from parikhbound import (Cfg, GlobalConfiguration, PushdownNetwork, eb,
                          enumerate_words, parikh_image, parikh_of_word, trim)
+from parikhbound.boundedgen import bounded_for_linear, bounded_for_substitution
 from parikhbound.diophantine import solve_nonneg
-from parikhbound.grammar import cfg, is_empty_language
+from parikhbound.grammar import (LinearGrammar, cfg, cfg_rename_terminals,
+                                 finite_cfg, is_empty_language, simplify)
+from parikhbound.newton import (build_kfold, level_symbol, suggested_depth,
+                                v_symbol)
 from parikhbound.semilinear import (lin_membership, linear_set, wit_minkowski,
                                     wit_singleton)
+from parikhbound.symbols import alphabet
 
 
 class Budget:
@@ -207,6 +212,90 @@ def reference_merge_pair(a, b):
        all(solve_nonneg(merged, q) is not None for q in b.periods):
         return linear_set(a.constant, merged)
     return None
+
+
+def reference_prune_pairs(pairs) -> list:
+    """``_prune_pairs`` with every pair tested, by the plain definitions of
+    subsumption and merge: drop a component contained in a kept one (and the
+    kept ones of equal constant it contains), merge the first mergeable pair,
+    and start again until nothing merges."""
+    def key(cw):
+        c = cw[0]
+        return (sum(c.constant), c.constant, -len(c.periods), c.periods)
+
+    comps = list(dict(reversed(pairs)).items())  # first payload wins
+    while True:
+        comps.sort(key=key)
+        kept = []
+        for c, w in comps:
+            if any(reference_lin_subsumed(c, d) for d, _ in kept):
+                continue
+            kept = [(d, v) for d, v in kept
+                    if d.constant != c.constant
+                    or not reference_lin_subsumed(d, c)]
+            kept.append((c, w))
+        merge = next(((i, j, m) for i in range(len(kept))
+                      for j in range(i + 1, len(kept))
+                      for m in [reference_merge_pair(kept[i][0], kept[j][0])]
+                      if m is not None), None)
+        if merge is None:
+            return kept
+        i, j, m = merge
+        kept[i] = (m, kept[i][1])
+        del kept[j]
+        comps = kept
+
+
+def reference_minkowski_pairs(a, b) -> list:
+    """The (component, witness) pairs of the full Minkowski product of two
+    witnessed sets, before any pruning."""
+    return [(linear_set(tuple(map(sum, zip(x.constant, y.constant))),
+                        x.periods + y.periods), wx + wy)
+            for x, wx in a.components for y, wy in b.components]
+
+
+def reference_parikh_equivalent_bounded(g):
+    """``parikh_equivalent_bounded`` with every variable's chain substituted
+    at every composition level, keeping the start variable's at the end."""
+    g = trim(g)
+    if not g.productions:
+        return eb([])
+    g = simplify(g)
+    kf = build_kfold(g, suggested_depth(g))
+    gt = kf.differential
+    variables = sorted(kf.base.variables)
+    btilde = {x: bounded_for_linear(LinearGrammar(gt.variables, gt.terminals,
+                                                  gt.productions, x))
+              for x in variables}
+    if kf.depth == 0:
+        return eb(kf.base_words(g.start))
+
+    def renamed(b, i):
+        ren = {v_symbol(y): level_symbol(y, i) for y in variables}
+        return eb([tuple(ren.get(a, a) for a in w) for w in b.words])
+
+    current = {x: renamed(btilde[x], kf.depth - 1) for x in variables}
+    for i in range(kf.depth - 2, -1, -1):
+        ren = {v_symbol(y): level_symbol(y, i) for y in variables}
+        out_sigma = alphabet(sorted(kf.base.terminals.symbols)
+                             + [level_symbol(y, i) for y in variables])
+        sig, tau = {}, {}
+        for y in variables:
+            rooted = cfg_rename_terminals(
+                LinearGrammar(gt.variables, gt.terminals, gt.productions, y),
+                ren)
+            sig[level_symbol(y, i + 1)] = Cfg(rooted.variables, out_sigma,
+                                              rooted.productions, y)
+            tau[level_symbol(y, i + 1)] = renamed(btilde[y], i)
+        current = {x: bounded_for_substitution(current[x], sig, tau, out_sigma)
+                   for x in variables}
+    sig0 = {level_symbol(y, 0): finite_cfg(list(kf.base_words(y)),
+                                           kf.base.terminals)
+            for y in variables}
+    tau0 = {level_symbol(y, 0): eb(kf.base_words(y)) for y in variables}
+    return {x: bounded_for_substitution(current[x], sig0, tau0,
+                                        kf.base.terminals)
+            for x in variables}[g.start]
 
 
 # ---------------------------------------------------------------------------

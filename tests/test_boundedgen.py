@@ -1,6 +1,7 @@
 from helpers import (ANBN, CORE_CORPUS, DYCK1, G_EX, PALIN, eb_words,
                      full_corpus, per_length_parikh,
-                     reference_bounded_for_substitution, two_thread_networks)
+                     reference_bounded_for_substitution,
+                     reference_parikh_equivalent_bounded, two_thread_networks)
 from parikhbound import (LinearGrammar, alphabet, bounded_for_linear,
                          bounded_for_powers, bounded_for_regex,
                          bounded_subset, cyk_membership, decompose_linear,
@@ -145,15 +146,44 @@ def test_bounded_for_substitution_edge_cases():
     assert [sub(b1, memo), sub(b2, memo)] == [sub(b1), sub(b2)]
 
 
+def corpus_and_acceptors():
+    """full_corpus() and the six acceptor grammars of two_thread_networks()."""
+    return full_corpus() + [acceptor_to_cfg(a)
+                            for net in two_thread_networks()
+                            for a in encode_to_acceptors(*net)]
+
+
 def test_substitution_matches_word_by_word_reference(monkeypatch):
-    grammars = full_corpus() + [acceptor_to_cfg(a)
-                                for net in two_thread_networks()
-                                for a in encode_to_acceptors(*net)]
+    grammars = corpus_and_acceptors()
     fast = [parikh_equivalent_bounded(g).words for g in grammars]
     monkeypatch.setattr(boundedgen, "bounded_for_substitution",
                         reference_bounded_for_substitution)
     for g, words in zip(grammars, fast):
         assert parikh_equivalent_bounded(g).words == words
+
+
+def test_only_the_start_variables_chain_is_substituted(monkeypatch):
+    grammars = corpus_and_acceptors()
+    for g in grammars:
+        assert parikh_equivalent_bounded(g) \
+            == reference_parikh_equivalent_bounded(g), g.start
+    calls = []
+    original = boundedgen.bounded_for_substitution
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(boundedgen, "bounded_for_substitution", counting)
+    for g in grammars:
+        calls.clear()
+        trace: list = []
+        b = parikh_equivalent_bounded(g, trace=trace)
+        # one substitution per level below the top, each of one chain
+        assert len(calls) == max(len(trace) - 1, 0), g.start
+        assert [list(per_var) for _, per_var in trace] \
+            == [[g.start]] * len(trace)
+        assert not trace or trace[-1][1][g.start] == b
 
 
 def cyk_in_substituted(w, blocks):

@@ -25,6 +25,8 @@ def test_bound_command(files, capsys):
     assert main(["bound", path, "--verify", "6"]) == 0
     out = capsys.readouterr().out
     assert out.strip()
+    assert main(["--format", "json", "bound", path, "--verify", "6"]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
 
 
 def test_bound_json(files, capsys):
@@ -48,6 +50,36 @@ def test_bound_subset_builds_subset_once(files, capsys, monkeypatch):
     payload = json.loads(capsys.readouterr().out)
     assert payload["subset_grammar"].strip()
     assert len(calls) == 1
+
+
+def test_bound_emit_proof_lists_the_start_variables_chain(files, capsys):
+    path = files("g.txt", "start S\nS -> a S b | a b | A A\nA -> a A b | c\n")
+    assert main(["--format", "json", "bound", path, "--emit-proof"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["levels"]) >= 2
+    assert all(list(level["bounded"]) == ["S"] for level in payload["levels"])
+    assert payload["levels"][-1] == {"level": "final",
+                                     "bounded": {"S": payload["bounded"]}}
+    assert main(["bound", path, "--emit-proof"]) == 0
+    levels = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("# level ")]
+    assert len(levels) == len(payload["levels"])
+    assert all(line.split(": ", 1)[1].startswith('{"S": ') for line in levels)
+
+
+def test_bound_verify_failure_still_prints_the_bounded_language(
+        files, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_parikh_property", lambda *args: False)
+    path = files("g.txt", ANBN_TEXT)
+    assert main(["bound", path, "--verify", "6"]) == 1
+    out = capsys.readouterr().out
+    assert "a b" in out.splitlines()
+    assert "# verified against enumeration to length 6: False" in out
+    assert main(["--format", "json", "bound", path, "--verify", "6"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verified"] is False and payload["bounded"]
+    assert main(["--format", "json", "bound", path]) == 0
+    assert "verified" not in json.loads(capsys.readouterr().out)
 
 
 def test_parikh_command(files, capsys):

@@ -128,6 +128,15 @@ def test_to_cnf_preserves_language():
         assert oracles.words_upto(rebuilt, 5) == oracles.words_upto(g, 5)
 
 
+def test_to_cnf_keeps_no_dead_binary_rule():
+    # grammar #10 of the corpus, X0 -> a a | b X1 a; X1 -> eps, once kept
+    # bin -> X1 term although X1 heads no rule after the nullable step
+    for g in full_corpus() + ODD_SHAPES:
+        cnf = to_cnf(g)
+        heads = {x for x, _, _ in cnf.binary} | {x for x, _ in cnf.unary}
+        assert {v for _, y, z in cnf.binary for v in (y, z)} <= heads, g.start
+
+
 def test_cyk_agrees_with_derivation_oracle():
     for g in full_corpus() + ODD_SHAPES:
         for w in words_over(g.terminals.symbols, 6):

@@ -1,12 +1,14 @@
 from itertools import product
 from operator import add
+from unittest.mock import patch
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (CORE_CORPUS, G_EX, expand_semilinear, full_corpus,
                      naive_lin_member, parikh_vectors, reference_lin_subsumed,
-                     reference_merge_pair)
+                     reference_merge_pair, reference_minkowski_pairs,
+                     reference_prune_pairs)
 from parikhbound import (LinearSet, SemilinearSet, cyk_membership,
                          linear_set, parikh_image, parikh_semilinear,
                          parikh_of_word, sl_from_text, sl_intersect,
@@ -15,9 +17,10 @@ from parikhbound import (LinearSet, SemilinearSet, cyk_membership,
 from parikhbound import semilinear
 from parikhbound.diophantine import solve_nonneg
 from parikhbound.pdn import acceptor_to_cfg, encode_to_acceptors, family_instance
-from parikhbound.semilinear import (_lin_subsumed, _merge_pair, _prune_pairs,
-                                    _spans_within, prune, sl_minkowski,
-                                    sl_singleton, sl_star, sl_union)
+from parikhbound.semilinear import (WitnessedSemilinear, _lin_subsumed,
+                                    _merge_pair, _prune_pairs, _spans_within,
+                                    prune, sl_minkowski, sl_singleton, sl_star,
+                                    sl_union, wit_minkowski)
 from test_caches import lru_caches
 
 vec2 = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -263,3 +266,82 @@ def test_sl_text_round_trip():
     s = SemilinearSet(2, (linear_set((1, 0), ((1, 1),)), linear_set((2, 2))))
     assert sl_from_text(sl_to_text(s)) == s
     assert sl_from_text(sl_to_text(SemilinearSet(2, ())), dim=2).is_empty()
+
+
+# Pruned sets of up to six components; unions of two of them share
+# components, subsume and merge across the two often enough.
+pruned2 = st.builds(lambda comps: prune(SemilinearSet(2, tuple(comps))),
+                    st.lists(lin2, max_size=6))
+
+
+def _forbidden(*args):
+    raise AssertionError("_prune_pairs called")
+
+
+def _witnessed(s: SemilinearSet) -> WitnessedSemilinear:
+    return WitnessedSemilinear(s.dim, tuple((c, (f"w{i}",))
+                                            for i, c in enumerate(s.components)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pruned2, vec2, st.booleans())
+def test_minkowski_with_a_point_is_a_translate(s, t, point_first):
+    point = SemilinearSet(2, (linear_set(t),))
+    wpoint = WitnessedSemilinear(2, ((linear_set(t), ("p",)),))
+    operands, woperands = (point, s), (wpoint, _witnessed(s))
+    if not point_first:
+        operands, woperands = operands[::-1], woperands[::-1]
+    expected = reference_prune_pairs(reference_minkowski_pairs(*woperands))
+    with patch.object(semilinear, "_prune_pairs", _forbidden):
+        assert wit_minkowski(*woperands).components == tuple(expected)
+        assert sl_minkowski.__wrapped__(*operands).components == \
+            SemilinearSet(2, tuple(c for c, _ in expected)).components
+
+
+@settings(max_examples=300, deadline=None)
+@given(pruned2, pruned2)
+# the first and the last merge into the whole quadrant, which then
+# contains the second
+@example(prune(SemilinearSet(2, (linear_set((0, 0), ((0, 1),)),
+                                 linear_set((0, 1), ((1, 0),))))),
+         prune(SemilinearSet(2, (linear_set((1, 0), ((1, 0), (0, 1))),))))
+def test_prune_of_a_union_tests_only_cross_pairs(a, b):
+    tested, merged = [], set()
+
+    def subsumed(x, y):
+        tested.append((x, y))
+        return _lin_subsumed(x, y)
+
+    def merge(x, y):
+        tested.append((x, y))
+        m = _merge_pair(x, y)
+        if m is not None:
+            merged.add(m)
+        return m
+
+    with patch.object(semilinear, "_lin_subsumed", subsumed), \
+         patch.object(semilinear, "_merge_pair", merge):
+        got = prune.__wrapped__(sl_union(a, b))
+    expected = reference_prune_pairs([(c, None)
+                                      for c in a.components + b.components])
+    assert got.components == \
+        SemilinearSet(2, tuple(c for c, _ in expected)).components
+    shared = set(a.components) & set(b.components)
+    for part in (a, b):
+        # a merged component is new even if it equals one of the part's
+        own = set(part.components) - shared - merged
+        assert not [(x, y) for x, y in tested if x in own and y in own]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(lambda comps: SemilinearSet(2, tuple(comps)),
+                 st.lists(lin2, max_size=6)))
+def test_prune_of_a_pruned_set_is_that_set(s):
+    assert prune(prune(s)) is prune(prune(s))
+    p = prune(s)
+    with patch.object(semilinear, "_prune_pairs", _forbidden):
+        assert prune.__wrapped__(p) is p
+    # the lemma of _prune_pairs: no ordered pair would subsume or merge
+    for x in p.components:
+        for y in p.components:
+            assert x == y or not (_lin_subsumed(x, y) or _merge_pair(x, y))
