@@ -5,7 +5,9 @@ language B satisfies Parikh(L intersect B) = Parikh(L) for the relevant L.
 The route for a general grammar: build the differential (linear) grammar,
 find bounded languages for its variable languages through the regular-
 language and linear-language cases, then push them down the k-fold
-composition levels via the power and substitution constructions.
+composition levels via the power and substitution constructions.  Every
+level above 0 applies the same substitution, over the differential
+grammar's terminals, so a level is a step of a loop, not an alphabet.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import SoundnessError
-from .grammar import (Cfg, LinearGrammar, cfg_rename_terminals, enumerate_words,
-                      finite_cfg, is_empty_language, product_with_dfa, regex_to_cfg,
-                      simplify, trim)
-from .newton import (KFoldComposition, build_kfold, level_symbol, suggested_depth,
-                     v_symbol)
+from .grammar import (Cfg, LinearGrammar, enumerate_words, finite_cfg,
+                      is_empty_language, product_with_dfa, regex_to_cfg, simplify,
+                      trim)
+from .newton import KFoldComposition, build_kfold, suggested_depth, v_symbol
 from .semilinear import (WitnessedSemilinear, parikh_image, wit_minkowski,
                          wit_singleton)
 from .symbols import (Alphabet, ElementaryBounded, Nfa, Regex, REmpty, REpsilon,
@@ -223,49 +224,38 @@ def algorithm1_bounded_sequence(kf: KFoldComposition,
     """Turn bounded languages for the differential grammar's variable
     languages into a bounded language for nu_depth(root).
 
-    Only root's chain is substituted: the maps of every level come from the
-    differential grammar and btilde, never from another variable's chain,
-    so the other chains cannot change root's.  ``trace`` receives
-    (level, {root: B}) per level."""
+    Every level above 0 applies the same map: v_Y goes to L_Y(G~), with
+    btilde[Y] as its bounded language, so one memo serves all of them.  A
+    level needs no alphabet of its own, because no word of ``current``
+    mixes letters of two levels: the words of btilde[root] hold v-letters
+    of the level below the top only, and a substitution replaces every
+    v-letter of a word while the v-letters it emits all stand for the next
+    level down.  Level 0 maps v_Y to the terminal-only right-hand sides of
+    Y.  Only root's chain is substituted: the maps come from the
+    differential grammar and btilde alone, so the other chains cannot
+    change root's.  ``trace`` receives (level, B) per level."""
+    if kf.depth == 0:
+        return eb(kf.base_words(root))
     gt = kf.differential
-    base_sigma = kf.base.terminals
     variables = sorted(kf.base.variables)
-
-    def level_rename(i: int) -> dict[str, str]:
-        return {v_symbol(y): level_symbol(y, i) for y in variables}
-
-    def rename_eb(b: ElementaryBounded, i: int) -> ElementaryBounded:
-        ren = level_rename(i)
-        return eb([tuple(ren.get(a, a) for a in w) for w in b.words])
-
-    def sigma_alphabet(i: int) -> Alphabet:
-        return alphabet(sorted(base_sigma.symbols)
-                        + [level_symbol(y, i) for y in variables])
+    sig = {v_symbol(y): Cfg(gt.variables, gt.terminals, gt.productions, y)
+           for y in variables}
+    tau = {v_symbol(y): btilde[y] for y in variables}
+    memo: dict = {}
 
     def record(level, b: ElementaryBounded) -> None:
         if trace is not None:
-            trace.append((level, {root: b}))
+            trace.append((level, b))
 
-    if kf.depth == 0:
-        return eb(kf.base_words(root))
-
-    current = rename_eb(btilde[root], kf.depth - 1)
+    current = btilde[root]
     record(kf.depth - 1, current)
     for i in range(kf.depth - 2, -1, -1):
-        out_sigma = sigma_alphabet(i)
-        sig = {}
-        tau = {}
-        for y in variables:
-            rooted = LinearGrammar(gt.variables, gt.terminals, gt.productions, y)
-            rooted = cfg_rename_terminals(rooted, level_rename(i))
-            sig[level_symbol(y, i + 1)] = Cfg(rooted.variables, out_sigma,
-                                              rooted.productions, y)
-            tau[level_symbol(y, i + 1)] = rename_eb(btilde[y], i)
-        current = bounded_for_substitution(current, sig, tau, out_sigma)
+        current = bounded_for_substitution(current, sig, tau, gt.terminals, memo)
         record(i, current)
-    sig0 = {level_symbol(y, 0): finite_cfg(list(kf.base_words(y)), base_sigma)
+    base_sigma = kf.base.terminals
+    sig0 = {v_symbol(y): finite_cfg(list(kf.base_words(y)), base_sigma)
             for y in variables}
-    tau0 = {level_symbol(y, 0): eb(kf.base_words(y)) for y in variables}
+    tau0 = {v_symbol(y): eb(kf.base_words(y)) for y in variables}
     result = bounded_for_substitution(current, sig0, tau0, base_sigma)
     record("final", result)
     return result

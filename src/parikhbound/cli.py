@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 
-from . import boundedgen
 from .boundedgen import (bounded_subset, parikh_equivalent_bounded,
                          verify_parikh_property)
 from .errors import BudgetError, InputError, ProgressNotReached, SoundnessError
@@ -47,9 +46,8 @@ def cmd_bound(args) -> int:
         payload["subset_grammar"] = subset
     if trace is not None:
         proof = [{"level": str(level),
-                  "bounded": {x: [" ".join(w) for w in bx.words]
-                              for x, bx in per_var.items()}}
-                 for level, per_var in trace]
+                  "bounded": {g.start: [" ".join(w) for w in bl.words]}}
+                 for level, bl in trace]
         payload["levels"] = proof
         text += "\n" + "".join(f"# level {p['level']}: " + json.dumps(p["bounded"])
                                 + "\n" for p in proof)
@@ -166,7 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print a grammar for L intersect B")
     p.add_argument("--emit-proof", action="store_true",
                    help="print the bounded language of the start variable "
-                        "at each composition level")
+                        "at each composition level; a level's v_Y stands for "
+                        "Y one level down")
     p.add_argument("--verify", type=int, default=0, metavar="N",
                    help="re-check the result by enumeration up to length N")
     p.set_defaults(func=cmd_bound)

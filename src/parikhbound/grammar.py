@@ -75,7 +75,9 @@ def parse_grammar(text: str) -> Cfg:
         X1 -> X0 b | eps
 
     Symbols are whitespace-separated; any symbol never used as a left-hand
-    side is a terminal; 'eps' denotes the empty right-hand side.
+    side is a terminal; 'eps' denotes the empty right-hand side.  Only a
+    line without '->' is a start directive, so a variable may be named
+    'start'.
     """
     start = None
     rules: list[tuple[str, list[str]]] = []
@@ -83,11 +85,12 @@ def parse_grammar(text: str) -> Cfg:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("start ") or line.startswith("start\t"):
-            start = line.split(None, 1)[1].strip()
-            continue
         if "->" not in line:
-            raise InputError(f"cannot parse grammar line: {raw!r}")
+            words = line.split()
+            if len(words) != 2 or words[0] != "start":
+                raise InputError(f"cannot parse grammar line: {raw!r}")
+            start = words[1]
+            continue
         lhs, rest = line.split("->", 1)
         lhs = lhs.strip()
         if not lhs or len(lhs.split()) != 1:
@@ -216,8 +219,6 @@ def trim(g: Cfg) -> Cfg:
                     frontier.append(s)
     keep = {(l, r) for (l, r) in keep if l in reachable}
     variables = {l for l, _ in keep} | {g.start}
-    if type(g) is LinearGrammar:
-        return LinearGrammar(frozenset(variables), g.terminals, frozenset(keep), g.start)
     return Cfg(frozenset(variables), g.terminals, frozenset(keep), g.start)
 
 
@@ -404,19 +405,6 @@ def cfg_rename_variables(g: Cfg, ren: dict[str, str]) -> Cfg:
                frozenset(prods), ren.get(g.start, g.start))
 
 
-def cfg_rename_terminals(g: Cfg, ren: dict[str, str]) -> Cfg:
-    """Apply a symbol-to-symbol homomorphism on terminals."""
-    syms = [ren.get(a, a) for a in g.terminals.symbols]
-    seen: list[str] = []
-    for s in syms:
-        if s not in seen:
-            seen.append(s)
-    prods = {(l, tuple(ren.get(s, s) if s in g.terminals else s for s in r))
-             for l, r in g.productions}
-    klass = LinearGrammar if type(g) is LinearGrammar else Cfg
-    return klass(g.variables, alphabet(seen), frozenset(prods), g.start)
-
-
 def union_alphabets(*sigmas: Alphabet) -> Alphabet:
     return alphabet(sorted({a for s in sigmas for a in s.symbols}))
 
@@ -426,8 +414,7 @@ def with_alphabet(g: Cfg, sigma: Alphabet) -> Cfg:
     for a in g.terminals:
         if a not in sigma:
             raise InputError(f"alphabet is missing terminal {a!r}")
-    klass = LinearGrammar if type(g) is LinearGrammar else Cfg
-    return klass(g.variables, sigma, g.productions, g.start)
+    return Cfg(g.variables, sigma, g.productions, g.start)
 
 
 def concat_grammars(gs: list[Cfg], sigma: Alphabet | None = None) -> Cfg:
@@ -516,7 +503,6 @@ class Transducer:
     """Finite transducer; a rule (q, a, out, q') reads a and emits the word out."""
 
     states: frozenset
-    input_alphabet: Alphabet
     output_alphabet: Alphabet
     rules: frozenset  # of (state, input symbol, output word, state)
     initial: object
@@ -583,8 +569,8 @@ def product_with_dfa(g: Cfg, d: Dfa) -> Cfg:
             raise InputError(f"terminal {a!r} missing from automaton alphabet")
     states = range(d.n_states)
     echo = frozenset((q, a, (a,), d.delta[(q, a)]) for q in states for a in d.alphabet)
-    return transducer_product(g, Transducer(frozenset(states), d.alphabet, g.terminals,
-                                            echo, d.initial, d.accepting))
+    return transducer_product(g, Transducer(frozenset(states), g.terminals, echo,
+                                            d.initial, d.accepting))
 
 
 def block_transducer(words: tuple[Word, ...], sigma: Alphabet) -> Transducer:
@@ -594,7 +580,7 @@ def block_transducer(words: tuple[Word, ...], sigma: Alphabet) -> Transducer:
     rules = frozenset((q, a, (f"a{q2[1]}",) if q2[0] == "b" else (), q2)
                       for q, a, q2 in nfa.transitions)
     out_sigma = alphabet([f"a{j}" for j in range(1, len(words) + 1)])
-    return Transducer(nfa.states, sigma, out_sigma, rules, ("b", 0), nfa.accepting)
+    return Transducer(nfa.states, out_sigma, rules, ("b", 0), nfa.accepting)
 
 
 def block_projection(g: Cfg, words: tuple[Word, ...]) -> Cfg:

@@ -16,7 +16,7 @@ when a search budget leaves the decision inside B open, the answer is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .boundedgen import parikh_equivalent_bounded
 from .errors import BudgetError, InputError, SoundnessError

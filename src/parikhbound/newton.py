@@ -4,10 +4,11 @@ For a grammar G the differential grammar G~ is linear: every production
 X -> alpha spawns one copy per kept variable occurrence (the other
 occurrences are replaced by the terminal v_Y) plus the copy with all
 occurrences replaced.  The k-th iterate nu_k(X) is the k-fold substitution
-sigma_0 ... sigma_k (v_X at level k), where each sigma maps v_Y at level i+1
-to L_Y(G~) with the v-terminals pushed down to level i, and level 0 is the
-finite set of terminal-only right-hand sides.  Its Parikh image reaches the
-Parikh image of L(G) after at most |variables| levels.
+sigma_0 ... sigma_k (v_X), where every sigma above level 0 is the same map
+v_Y -> L_Y(G~), whose v-terminals stand for the level below, and sigma_0
+maps v_Y to the finite set of Y's terminal-only right-hand sides.  Its
+Parikh image reaches the Parikh image of L(G) after at most |variables|
+levels.
 """
 
 from __future__ import annotations
@@ -23,11 +24,6 @@ from .symbols import Word, alphabet
 def v_symbol(x: str) -> str:
     """The fresh terminal standing for variable x in the differential grammar."""
     return f"v_{x}"
-
-
-def level_symbol(x: str, level: int) -> str:
-    """v_x annotated with the composition level it belongs to."""
-    return f"v_{x}@{level}"
 
 
 def differential_grammar(g: Cfg) -> LinearGrammar:
@@ -92,6 +88,7 @@ def materialize_iterate(kf: KFoldComposition, x: str, k: int | None = None) -> C
         raise InputError(f"{x!r} is not a variable")
     k = kf.depth if k is None else k
     gt = kf.differential
+    v_var = {v_symbol(y): y for y in kf.base.variables}
     prods = set()
     variables = set()
 
@@ -104,8 +101,8 @@ def materialize_iterate(kf: KFoldComposition, x: str, k: int | None = None) -> C
             for s in rhs:
                 if s in gt.variables:
                     new_rhs.append(var_at(s, j))
-                elif s.startswith("v_") and s[2:] in kf.base.variables:
-                    new_rhs.append(var_at(s[2:], j - 1))
+                elif s in v_var:
+                    new_rhs.append(var_at(v_var[s], j - 1))
                 else:
                     new_rhs.append(s)
             variables.add(var_at(lhs, j))

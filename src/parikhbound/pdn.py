@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .errors import BudgetError, InputError
 from .grammar import Cfg, simplify, trim
 from .intersect import IntersectionInstance, IntersectionResult, semi_algorithm
-from .symbols import Word, alphabet
+from .symbols import alphabet
 
 IDLE = "#idle"
 BOT = "#bot"

@@ -15,10 +15,9 @@ from parikhbound import (Cfg, GlobalConfiguration, PushdownNetwork, eb,
                          enumerate_words, parikh_image, parikh_of_word, trim)
 from parikhbound.boundedgen import bounded_for_linear, bounded_for_substitution
 from parikhbound.diophantine import solve_nonneg
-from parikhbound.grammar import (LinearGrammar, cfg, cfg_rename_terminals,
-                                 finite_cfg, is_empty_language, simplify)
-from parikhbound.newton import (build_kfold, level_symbol, suggested_depth,
-                                v_symbol)
+from parikhbound.grammar import (LinearGrammar, cfg, finite_cfg,
+                                 is_empty_language, simplify)
+from parikhbound.newton import build_kfold, suggested_depth, v_symbol
 from parikhbound.semilinear import (lin_membership, linear_set, wit_minkowski,
                                     wit_singleton)
 from parikhbound.symbols import alphabet
@@ -254,9 +253,24 @@ def reference_minkowski_pairs(a, b) -> list:
             for x, wx in a.components for y, wy in b.components]
 
 
+def level_symbol(x: str, level: int) -> str:
+    """v_x tagged with the composition level it belongs to."""
+    return f"v_{x}@{level}"
+
+
+def cfg_rename_terminals(g: Cfg, ren: dict[str, str]) -> Cfg:
+    """Apply a symbol-to-symbol homomorphism on terminals."""
+    syms = list(dict.fromkeys(ren.get(a, a) for a in g.terminals.symbols))
+    prods = {(l, tuple(ren.get(s, s) if s in g.terminals else s for s in r))
+             for l, r in g.productions}
+    return Cfg(g.variables, alphabet(syms), frozenset(prods), g.start)
+
+
 def reference_parikh_equivalent_bounded(g):
     """``parikh_equivalent_bounded`` with every variable's chain substituted
-    at every composition level, keeping the start variable's at the end."""
+    at every composition level, keeping the start variable's at the end.
+    Each level has its own alphabet: v_Y at level i is renamed v_Y@i, and
+    every level's maps and memo are built afresh."""
     g = trim(g)
     if not g.productions:
         return eb([])

@@ -181,9 +181,45 @@ def test_only_the_start_variables_chain_is_substituted(monkeypatch):
         b = parikh_equivalent_bounded(g, trace=trace)
         # one substitution per level below the top, each of one chain
         assert len(calls) == max(len(trace) - 1, 0), g.start
-        assert [list(per_var) for _, per_var in trace] \
-            == [[g.start]] * len(trace)
-        assert not trace or trace[-1][1][g.start] == b
+        assert [level for level, _ in trace] \
+            == ([*range(len(trace) - 2, -1, -1), "final"] if trace else [])
+        assert not trace or trace[-1] == ("final", b)
+
+
+def test_every_level_substitutes_with_one_map_and_memo(monkeypatch):
+    calls = []
+    kfs = []
+    substitute = boundedgen.bounded_for_substitution
+    build = boundedgen.build_kfold
+
+    def recording(b, sigma_map, tau_map, out_alphabet, memo=None):
+        calls.append((sigma_map, out_alphabet, memo))
+        return substitute(b, sigma_map, tau_map, out_alphabet, memo)
+
+    def keeping(*args, **kwargs):
+        kfs.append(build(*args, **kwargs))
+        return kfs[-1]
+
+    monkeypatch.setattr(boundedgen, "bounded_for_substitution", recording)
+    monkeypatch.setattr(boundedgen, "build_kfold", keeping)
+    for g in corpus_and_acceptors():
+        calls.clear()
+        kfs.clear()
+        trace: list = []
+        parikh_equivalent_bounded(g, trace=trace)
+        if len(trace) < 2:
+            continue
+        sigma = kfs[-1].differential.terminals
+        # every level above the final one is over the differential grammar's
+        # terminals: no level has letters of its own
+        for level, b in trace[:-1]:
+            assert all(a in sigma for w in b.words for a in w), (g.start, level)
+        above, final = calls[:-1], calls[-1]
+        for sigma_map, out_alphabet, memo in above:
+            assert sigma_map is above[0][0] and out_alphabet == sigma, g.start
+            assert memo is not None and memo is above[0][2], g.start
+        # level 0 has maps of its own, so it must not share their memo
+        assert not above or final[2] is not above[0][2], g.start
 
 
 def cyk_in_substituted(w, blocks):

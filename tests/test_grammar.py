@@ -68,6 +68,19 @@ def test_parse_eps_and_comments():
     assert g.start == "S"
 
 
+def test_parse_a_variable_named_start():
+    # a line with '->' is a rule even when it begins with "start"
+    recursive = parse_grammar("start -> a start | b\n")
+    assert recursive == cfg({"start"}, ["a", "b"],
+                            [("start", ("a", "start")), ("start", ("b",))],
+                            "start")
+    inner = parse_grammar("S -> start\nstart -> a\n")
+    assert inner == cfg({"S", "start"}, ["a"],
+                        [("S", ("start",)), ("start", ("a",))], "S")
+    for g in (recursive, inner):
+        assert parse_grammar(format_grammar(g)) == g
+
+
 def test_parse_errors():
     with pytest.raises(InputError):
         parse_grammar("")
