@@ -14,8 +14,8 @@ from .symbols import (Alphabet, ElementaryBounded, Nfa, Dfa, Word,  # noqa: F401
                       parikh_of_word, word)
 from .grammar import (Cfg, LinearGrammar, Transducer, block_projection,  # noqa
                       cyk_membership, enumerate_words, format_grammar,
-                      parse_grammar, product_with_dfa, simplify, substitute,
-                      concat_grammars, union_grammars, trim)
+                      parse_grammar, product_with_dfa, simplify,
+                      concat_grammars, trim)
 from .semilinear import (LinearSet, SemilinearSet, WitnessedSemilinear,  # noqa
                          linear_set, parikh_image, parikh_semilinear,
                          sl_intersect, sl_intersection_witness, sl_membership,

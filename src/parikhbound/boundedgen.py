@@ -265,7 +265,7 @@ def algorithm1_bounded_sequence(kf: KFoldComposition,
 # End-to-end entry points
 
 
-def parikh_equivalent_bounded(g: Cfg, depth: int | None = None,
+def parikh_equivalent_bounded(g: Cfg,
                               trace: list | None = None) -> ElementaryBounded:
     """An elementary bounded B over terminals(g) with
     Parikh(L(g) intersect B) = Parikh(L(g))."""
@@ -273,8 +273,7 @@ def parikh_equivalent_bounded(g: Cfg, depth: int | None = None,
     if not g.productions:
         return eb([])
     g = simplify(g)
-    d = suggested_depth(g) if depth is None else depth
-    kf = build_kfold(g, d)
+    kf = build_kfold(g, suggested_depth(g))
     gt = kf.differential
     btilde = {}
     for x in sorted(g.variables):
@@ -289,5 +288,5 @@ def bounded_subset(g: Cfg, b: ElementaryBounded | None = None) -> Cfg:
     g = trim(g)
     if b is None:
         b = parikh_equivalent_bounded(g)
-    dfa = determinize(eb_to_nfa(b, g.terminals), g.terminals)
+    dfa = determinize(eb_to_nfa(b, g.terminals))
     return product_with_dfa(g, dfa)

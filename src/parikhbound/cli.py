@@ -16,7 +16,6 @@ from .boundedgen import (bounded_subset, parikh_equivalent_bounded,
 from .errors import BudgetError, InputError, ProgressNotReached, SoundnessError
 from .grammar import enumerate_words, format_grammar, parse_grammar, trim
 from .intersect import IntersectionInstance, intersect_modulo, semi_algorithm
-from .naming import reset_fresh_names
 from .pdn import family_instance, pdn_from_json, pdn_reach_bounded, reach
 from .semilinear import parikh_image, sl_membership, sl_to_text
 from .symbols import eb_from_text, eb_to_text, parikh_of_word
@@ -154,8 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Parikh-equivalent bounded underapproximations of "
                     "context-free languages")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--seed-names", action="store_true",
-                        help="reset the fresh-name counter for reproducible output")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", help="compute a Parikh-equivalent bounded language")
@@ -204,8 +201,6 @@ def main(argv=None) -> int:
     # regex trees and recursive constructions can get deep on generated inputs
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
     args = build_parser().parse_args(argv)
-    if args.seed_names:
-        reset_fresh_names()
     if getattr(args, "command", None) == "reach-pdn" \
             and not args.network and not args.family:
         print("error: provide a network file or --family K", file=sys.stderr)

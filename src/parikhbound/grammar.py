@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
+from typing import Iterator
 
 from .errors import BudgetError, InputError
-from .naming import fresh
 from .symbols import (Alphabet, Dfa, ElementaryBounded, Regex, REmpty, REpsilon,
                       RSym, RConcat, RUnion, RStar, Word, alphabet, eb_to_nfa)
 
@@ -61,6 +61,14 @@ def cfg(variables, terminals, productions, start) -> Cfg:
     sigma = terminals if isinstance(terminals, Alphabet) else alphabet(terminals)
     return Cfg(frozenset(variables), sigma,
                frozenset((l, tuple(r)) for l, r in productions), start)
+
+
+def _new_names(prefix: str, taken) -> Iterator[str]:
+    """prefix#0, prefix#1, ..., skipping the names in taken.  Each
+    construction numbers its own helper variables from 0, so equal inputs
+    build equal grammars whatever ran before."""
+    return (name for name in (f"{prefix}#{i}" for i in count())
+            if name not in taken)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +280,7 @@ def to_cnf(g: Cfg) -> CnfGrammar:
 
     # TERM: lift terminals occurring inside binary rules
     lift: dict[str, str] = {}
+    names = _new_names("term", variables)
     binary: set[tuple[str, str, str]] = set()
     unary: set[tuple[str, str]] = set()
     for lhs, rhs in sorted(final):
@@ -284,13 +293,13 @@ def to_cnf(g: Cfg) -> CnfGrammar:
                     parts.append(s)
                 else:
                     if s not in lift:
-                        lift[s] = fresh("term")
+                        lift[s] = next(names)
                         unary.add((lift[s], s))
                     parts.append(lift[s])
             binary.add((lhs, parts[0], parts[1]))
 
     # drop binary rules naming a variable that derives no word, such as one
-    # that was only nullable; after TERM, so that no fresh name changes
+    # that was only nullable; after TERM, so that no lifted name changes
     derives = _derived({x for rule in binary for x in rule}
                        | {x for x, _ in unary},
                        {(x, (y, z)) for x, y, z in binary}
@@ -361,41 +370,16 @@ def binarize(g: Cfg) -> Cfg:
     """Cut right-hand sides to length <= 2 (mixed symbols allowed)."""
     prods: set[Production] = set()
     variables = set(g.variables)
+    names = _new_names("bin", g.variables)
     for lhs, rhs in g.sorted_productions():
         head, rest = lhs, rhs
         while len(rest) > 2:
-            nxt = fresh("bin")
+            nxt = next(names)
             variables.add(nxt)
             prods.add((head, (rest[0], nxt)))
             head, rest = nxt, rest[1:]
         prods.add((head, rest))
     return Cfg(frozenset(variables), g.terminals, frozenset(prods), g.start)
-
-
-def substitute(g: Cfg, mapping: dict[str, Cfg]) -> Cfg:
-    """Replace each mapped terminal by the language of its grammar."""
-    for a in mapping:
-        if a not in g.terminals:
-            raise InputError(f"substituted symbol {a!r} is not a terminal of g")
-    renamed: dict[str, Cfg] = {}
-    prods: set[Production] = set()
-    variables = set()
-    used = set(g.variables)
-    for a, ga in sorted(mapping.items()):
-        tag = fresh("sub")
-        ren = {x: f"{tag}:{x}" for x in ga.variables}
-        renamed[a] = cfg_rename_variables(ga, ren)
-        variables |= renamed[a].variables
-        prods |= renamed[a].productions
-        used |= renamed[a].variables
-    for lhs, rhs in g.productions:
-        new_rhs = tuple(renamed[s].start if s in renamed else s for s in rhs)
-        prods.add((lhs, new_rhs))
-    variables |= g.variables
-    term_syms = sorted(
-        (set(g.terminals.symbols) - set(mapping))
-        | {a for ga in mapping.values() for a in ga.terminals.symbols})
-    return Cfg(frozenset(variables), alphabet(term_syms), frozenset(prods), g.start)
 
 
 def cfg_rename_variables(g: Cfg, ren: dict[str, str]) -> Cfg:
@@ -418,17 +402,15 @@ def with_alphabet(g: Cfg, sigma: Alphabet) -> Cfg:
 
 
 def concat_grammars(gs: list[Cfg], sigma: Alphabet | None = None) -> Cfg:
-    """Concatenation; with an empty list this is the language {epsilon}."""
-    sigma = sigma or union_alphabets(*[g.terminals for g in gs]) if gs else (
-        sigma or alphabet([]))
-    start = fresh("cat")
+    """Concatenation; with an empty list this is the language {epsilon}.
+    Part i's variable X is renamed c#i:X."""
+    sigma = sigma or union_alphabets(*[g.terminals for g in gs])
+    start = next(_new_names("cat", sigma))
     variables = {start}
     prods: set[Production] = set()
     starts = []
-    for g in gs:
-        tag = fresh("c")
-        ren = {x: f"{tag}:{x}" for x in g.variables}
-        rg = cfg_rename_variables(g, ren)
+    for i, g in enumerate(gs):
+        rg = cfg_rename_variables(g, {x: f"c#{i}:{x}" for x in g.variables})
         variables |= rg.variables
         prods |= rg.productions
         starts.append(rg.start)
@@ -436,37 +418,21 @@ def concat_grammars(gs: list[Cfg], sigma: Alphabet | None = None) -> Cfg:
     return Cfg(frozenset(variables), sigma, frozenset(prods), start)
 
 
-def union_grammars(gs: list[Cfg], sigma: Alphabet | None = None) -> Cfg:
-    """Union; with an empty list this is the empty language."""
-    sigma = sigma or (union_alphabets(*[g.terminals for g in gs]) if gs
-                      else alphabet([]))
-    start = fresh("uni")
-    variables = {start}
-    prods: set[Production] = set()
-    for g in gs:
-        tag = fresh("u")
-        ren = {x: f"{tag}:{x}" for x in g.variables}
-        rg = cfg_rename_variables(g, ren)
-        variables |= rg.variables
-        prods |= rg.productions
-        prods.add((start, (rg.start,)))
-    return Cfg(frozenset(variables), sigma, frozenset(prods), start)
-
-
 def finite_cfg(words: list[Word], sigma: Alphabet) -> Cfg:
-    start = fresh("fin")
+    start = next(_new_names("fin", sigma))
     prods = frozenset((start, tuple(w)) for w in words)
     return Cfg(frozenset({start}), sigma, prods, start)
 
 
 def regex_to_cfg(r: Regex, sigma: Alphabet) -> Cfg:
-    counter = [0]
+    """One variable rx#i:rk per regex node; the tag rx#i keeps the variables
+    apart from the terminals."""
+    tag = next(_new_names("rx", {a.split(":", 1)[0] for a in sigma}))
     prods: set[Production] = set()
     variables: set[str] = set()
 
     def build(rx) -> str:
-        counter[0] += 1
-        x = f"r{counter[0]}"
+        x = f"{tag}:r{len(variables) + 1}"
         variables.add(x)
         if isinstance(rx, REmpty):
             pass
@@ -488,10 +454,7 @@ def regex_to_cfg(r: Regex, sigma: Alphabet) -> Cfg:
         return x
 
     start = build(r)
-    tag = fresh("rx")
-    ren = {x: f"{tag}:{x}" for x in variables}
-    return cfg_rename_variables(
-        Cfg(frozenset(variables), sigma, frozenset(prods), start), ren)
+    return Cfg(frozenset(variables), sigma, frozenset(prods), start)
 
 
 # ---------------------------------------------------------------------------
@@ -551,11 +514,12 @@ def transducer_product(g: Cfg, t: Transducer) -> Cfg:
                       for s, out, q, q2 in zip(rhs, moves, run, run[1:])]
             for parts in product(*pieces):
                 prods.add((tv(x, run[0], run[-1]), sum(parts, ())))
-    start = fresh("S")
+    heads = {lhs for lhs, _ in prods}
+    start = next(_new_names("S", heads))
     for qf in t.accepting:
         if (t.initial, qf) in rel[g.start]:
             prods.add((start, (tv(g.start, t.initial, qf),)))
-    variables = frozenset({start} | {lhs for lhs, _ in prods})
+    variables = frozenset(heads | {start})
     return trim(Cfg(variables, t.output_alphabet, frozenset(prods), start))
 
 

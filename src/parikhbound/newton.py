@@ -75,9 +75,8 @@ def build_kfold(g: Cfg, depth: int | None = None) -> KFoldComposition:
 
 def suggested_depth(g: Cfg) -> int:
     """Smallest verified depth d with Parikh(nu_d) = Parikh(L): the point at
-    which the semilinear Newton iteration stabilizes."""
-    g = trim(g)
-    return min(newton_depth(g), len(g.variables))
+    which the semilinear Newton iteration stabilizes; at most |variables|."""
+    return newton_depth(g)
 
 
 def materialize_iterate(kf: KFoldComposition, x: str, k: int | None = None) -> Cfg:

@@ -251,9 +251,8 @@ class Dfa:
                    frozenset(range(self.n_states)) - self.accepting)
 
 
-def determinize(n: Nfa, sigma: Alphabet | None = None) -> Dfa:
+def determinize(n: Nfa) -> Dfa:
     """Subset construction with epsilon closure; states are relabeled in BFS order."""
-    sigma = sigma or n.alphabet
     start = n._closure(set(n.initial))  # type: ignore[attr-defined]
     ids = {start: 0}
     queue = [start]
@@ -261,24 +260,22 @@ def determinize(n: Nfa, sigma: Alphabet | None = None) -> Dfa:
     while queue:
         current = queue.pop(0)
         i = ids[current]
-        for a in sigma:
+        for a in n.alphabet:
             nxt = n.step(current, a)
             if nxt not in ids:
                 ids[nxt] = len(ids)
                 queue.append(nxt)
             delta[(i, a)] = ids[nxt]
     accepting = frozenset(i for s, i in ids.items() if s & n.accepting)
-    return Dfa(len(ids), sigma, delta, 0, accepting)
+    return Dfa(len(ids), n.alphabet, delta, 0, accepting)
 
 
-def eb_to_nfa(b: ElementaryBounded, sigma: Alphabet | None = None) -> Nfa:
+def eb_to_nfa(b: ElementaryBounded, sigma: Alphabet) -> Nfa:
     """Chain-shaped NFA for w1*...wk* with 1 + sum(len(wi)) states.
 
     State ("b", i) marks "block i just completed" (block 0 = start); from there
     any block j >= max(i, 1) may begin.  All boundary states accept.
     """
-    if sigma is None:
-        sigma = alphabet(b.symbols_used())
     words = b.words
     transitions = set()
     states = {("b", 0)}
@@ -308,7 +305,7 @@ def eb_complement_dfa(b: ElementaryBounded, sigma: Alphabet) -> Dfa:
     for a in b.symbols_used():
         if a not in sigma:
             raise InputError(f"bounded-language symbol {a!r} missing from alphabet")
-    return determinize(eb_to_nfa(b, sigma), sigma).complement()
+    return determinize(eb_to_nfa(b, sigma)).complement()
 
 
 # ---------------------------------------------------------------------------

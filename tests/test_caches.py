@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+from collections.abc import Iterator
 
 from helpers import full_corpus
 import parikhbound
@@ -33,11 +34,15 @@ def test_every_cache_is_bounded():
             "parikhbound.grammar.to_cnf"} <= set(caches)
     for name, cached in caches.items():
         assert cached.cache_info().maxsize is not None, name
+    # nor any other state that outlives a call: a container, or an iterator
+    # such as a name counter
     for module in package_modules():
         for name, value in vars(module).items():
             if not name.startswith("__"):
                 assert not isinstance(value, (dict, set, list)), \
                     f"module-level container {module.__name__}.{name}"
+                assert not isinstance(value, Iterator), \
+                    f"module-level iterator {module.__name__}.{name}"
 
 
 def test_parikh_image_does_not_depend_on_warm_caches():

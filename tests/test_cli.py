@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from parikhbound import cli, family_instance, pdn_to_json
+from parikhbound import (cli, family_instance, parikh_equivalent_bounded,
+                         parse_grammar, pdn_to_json)
 from parikhbound.cli import main
 
 ANBN_TEXT = "start S\nS -> a S b | a b\n"
@@ -50,6 +51,19 @@ def test_bound_subset_builds_subset_once(files, capsys, monkeypatch):
     payload = json.loads(capsys.readouterr().out)
     assert payload["subset_grammar"].strip()
     assert len(calls) == 1
+
+
+def test_bound_subset_does_not_depend_on_earlier_calls(files, capsys):
+    # the subset grammar's helper variables (S#i, bin#i) are numbered within
+    # each construction, so work done in between renames none of them
+    path = files("g.txt", ANBN_TEXT)
+    assert main(["bound", path, "--subset"]) == 0
+    first = capsys.readouterr().out
+    assert "#" in first
+    parikh_equivalent_bounded(parse_grammar(
+        "start S\nS -> a S b | A A\nA -> a A b | c\n"))
+    assert main(["bound", path, "--subset"]) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_bound_emit_proof_lists_the_start_variables_chain(files, capsys):

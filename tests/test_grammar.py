@@ -9,9 +9,9 @@ from helpers import (ANBN, CORE_CORPUS, DYCK1, G_EX, PALIN, Budget,
 from parikhbound import (BudgetError, Cfg, InputError, alphabet,
                          block_projection, cyk_membership, enumerate_words,
                          format_grammar, parse_grammar, product_with_dfa,
-                         simplify, substitute, trim)
+                         simplify, trim)
 from parikhbound.grammar import (cfg, concat_grammars, finite_cfg,
-                                 is_empty_language, to_cnf, union_grammars)
+                                 is_empty_language, to_cnf)
 from parikhbound.pdn import acceptor_to_cfg, encode_to_acceptors, family_instance
 from parikhbound.symbols import (chars, determinize, eb, eb_complement_dfa,
                                  eb_to_nfa)
@@ -44,6 +44,14 @@ ODD_SHAPES = [
     # a chain of nullable variables
     parse_grammar("S -> A a A\nA -> B\nB -> C C\nC -> D | b\nD -> eps"),
 ]
+
+# Variables already named as the first helpers that binarize (bin#0) and the
+# TERM step (term#0) would add; a long rule with terminals needs both
+HELPER_NAMED = cfg({"S", "bin#0", "term#0"}, ["a", "b"],
+                   [("S", ("a", "bin#0", "b", "term#0")), ("S", ("b",)),
+                    ("bin#0", ("b", "a", "S")), ("bin#0", ()),
+                    ("term#0", ("a", "a", "b")), ("term#0", ("S", "a"))],
+                   "S")
 
 
 def words_set(g, n):
@@ -128,17 +136,30 @@ def test_enumerate_words_fixtures():
     assert words_set(G_EX, 3) == {chars("a"), chars("aab")}
 
 
+def rebuilt_from_cnf(g):
+    cnf = to_cnf(g)
+    start = "cnf-start"
+    prods = ([(x, (y, z)) for x, y, z in cnf.binary]
+             + [(x, (a,)) for x, a in cnf.unary]
+             + [(start, (cnf.start,))] + [(start, ())] * cnf.eps_in_language)
+    variables = {start, cnf.start} | {x for r in cnf.binary for x in r} | {
+        x for x, _ in cnf.unary}
+    return cfg(variables, g.terminals, prods, start)
+
+
 def test_to_cnf_preserves_language():
-    for g in full_corpus() + ODD_SHAPES:
-        cnf = to_cnf(g)
-        start = "cnf-start"
-        prods = ([(x, (y, z)) for x, y, z in cnf.binary]
-                 + [(x, (a,)) for x, a in cnf.unary]
-                 + [(start, (cnf.start,))] + [(start, ())] * cnf.eps_in_language)
-        variables = {start, cnf.start} | {x for r in cnf.binary for x in r} | {
-            x for x, _ in cnf.unary}
-        rebuilt = cfg(variables, g.terminals, prods, start)
-        assert oracles.words_upto(rebuilt, 5) == oracles.words_upto(g, 5)
+    # a grammar rebuilt from a CNF holds term#0, and bin#0 if it had a long
+    # rule; a long rule added to it makes to_cnf name new helpers again
+    corpus = full_corpus() + ODD_SHAPES + [HELPER_NAMED]
+    again = []
+    for g in corpus:
+        r = rebuilt_from_cnf(g)
+        long_rule = (r.start, (g.terminals.symbols[0],) * 2 + (r.start,))
+        again.append(Cfg(r.variables, r.terminals,
+                         r.productions | {long_rule}, r.start))
+    for g in corpus + again:
+        assert oracles.words_upto(rebuilt_from_cnf(g), 5) \
+            == oracles.words_upto(g, 5), g.start
 
 
 def test_to_cnf_keeps_no_dead_binary_rule():
@@ -187,7 +208,7 @@ def test_product_with_dfa_filters_language():
         sigma = g.terminals
         for b in bounded:
             # B itself, and its complement as refine uses it
-            for dfa in (determinize(eb_to_nfa(b, sigma), sigma),
+            for dfa in (determinize(eb_to_nfa(b, sigma)),
                         eb_complement_dfa(b, sigma)):
                 expected = {w for w in oracles.words_upto(g, 6)
                             if dfa.accepts(w)}
@@ -213,14 +234,14 @@ def test_block_projection_counts_blocks():
 
 
 def test_product_with_empty_dfa_is_empty():
-    dfa = determinize(eb_to_nfa(eb([("a",)]), AB), AB)
+    dfa = determinize(eb_to_nfa(eb([("a",)]), AB))
     empty = type(dfa)(dfa.n_states, dfa.alphabet, dfa.delta, dfa.initial,
                       frozenset())
     assert is_empty_language(product_with_dfa(trim(G_EX), empty))
 
 
 def test_product_with_full_dfa_is_identity():
-    full = determinize(eb_to_nfa(eb([]), AB), AB)
+    full = determinize(eb_to_nfa(eb([]), AB))
     full = type(full)(full.n_states, full.alphabet, full.delta, full.initial,
                       frozenset(range(full.n_states)))
     inter = product_with_dfa(trim(G_EX), full)
@@ -228,22 +249,13 @@ def test_product_with_full_dfa_is_identity():
     assert per_length_parikh(inter, 6, AB) == per_length_parikh(G_EX, 6, AB)
 
 
-def test_concat_and_union():
+def test_concat_grammars():
     epsg = finite_cfg([()], AB)
     assert words_set(concat_grammars([G_EX, epsg], AB), 6) == words_set(G_EX, 6)
-    u = union_grammars([ANBN, PALIN], AB)
-    assert words_set(u, 4) == words_set(ANBN, 4) | words_set(PALIN, 4)
     c = concat_grammars([ANBN, ANBN], AB)
     expected = {u + v for u in words_set(ANBN, 4) for v in words_set(ANBN, 4)
                 if len(u) + len(v) <= 6}
     assert words_set(c, 6) == expected
-
-
-def test_substitute():
-    outer = cfg({"S"}, ["x"], [("S", ("x", "x"))], "S")
-    inner = cfg({"T"}, ["a", "b"], [("T", ("a",)), ("T", ("b",))], "T")
-    sub = substitute(outer, {"x": inner})
-    assert words_set(sub, 2) == {("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")}
 
 
 def test_simplify_preserves_language():

@@ -119,7 +119,7 @@ def test_complement_dfa():
 def test_determinize_preserves_language():
     b = eb([chars("ab"), chars("b")])
     nfa = eb_to_nfa(b, AB)
-    dfa = determinize(nfa, AB)
+    dfa = determinize(nfa)
     for w in all_words(AB, 5):
         assert dfa.accepts(w) == nfa.accepts(w)
 
