@@ -8,11 +8,11 @@ for context-free intersection and pushdown-network reachability.
 
 from .errors import (BudgetError, InputError, ProgressNotReached,  # noqa: F401,E402
                      SoundnessError)
-from .symbols import (Alphabet, ElementaryBounded, Nfa, Dfa, Word,  # noqa: F401,E402
+from .symbols import (Alphabet, ElementaryBounded, Nfa, Word,  # noqa: F401,E402
                       alphabet, eb, eb_concat, eb_complement_dfa, eb_from_text,
                       eb_to_nfa, eb_to_text, determinize, nfa_to_regex,
                       parikh_of_word, word)
-from .grammar import (Cfg, LinearGrammar, Transducer, block_projection,  # noqa
+from .grammar import (Cfg, LinearGrammar, block_projection,  # noqa
                       cyk_membership, enumerate_words, format_grammar,
                       parse_grammar, product_with_dfa, simplify,
                       concat_grammars, trim)

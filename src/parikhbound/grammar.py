@@ -7,13 +7,14 @@ so expensive analyses can be cached per grammar object value.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, product
+from itertools import count
 from typing import Iterator
 
 from .errors import BudgetError, InputError
-from .symbols import (Alphabet, Dfa, ElementaryBounded, Regex, REmpty, REpsilon,
+from .symbols import (Alphabet, ElementaryBounded, Nfa, Regex, REmpty, REpsilon,
                       RSym, RConcat, RUnion, RStar, Word, alphabet, eb_to_nfa)
 
 Production = tuple[str, tuple[str, ...]]
@@ -85,12 +86,13 @@ def parse_grammar(text: str) -> Cfg:
     Symbols are whitespace-separated; any symbol never used as a left-hand
     side is a terminal; 'eps' denotes the empty right-hand side.  Only a
     line without '->' is a start directive, so a variable may be named
-    'start'.
+    'start'.  A '#' that starts a token begins a comment; inside a symbol,
+    as in the helper variable S#0, it is part of the name.
     """
     start = None
     rules: list[tuple[str, list[str]]] = []
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "->" not in line:
@@ -458,35 +460,25 @@ def regex_to_cfg(r: Regex, sigma: Alphabet) -> Cfg:
 
 
 # ---------------------------------------------------------------------------
-# Bar-Hillel product with a finite transducer
+# Bar-Hillel product with an automaton that writes a word on each move
 
 
-@dataclass(frozen=True)
-class Transducer:
-    """Finite transducer; a rule (q, a, out, q') reads a and emits the word out."""
-
-    states: frozenset
-    output_alphabet: Alphabet
-    rules: frozenset  # of (state, input symbol, output word, state)
-    initial: object
-    accepting: frozenset
-
-
-def transducer_product(g: Cfg, t: Transducer) -> Cfg:
-    """Grammar for { output of t on w : w in L(g), t accepts w }.
+def transducer_product(g: Cfg, t: Nfa, out_sigma: Alphabet, emit) -> Cfg:
+    """Grammar over out_sigma for the outputs of t's accepting runs on the
+    words of L(g), where the move (q, a, q2) outputs the word emit(q, a, q2).
 
     Variable [q,x,q2] derives the outputs of the runs from q to q2 on the
-    words of x; a move's output stands where its terminal stood, with one
-    production per output.  Triples are built bottom-up from productive ones
-    only, so the |Q|^3 blowup is paid only on pairs that can derive a word.
+    words of x; a move's output stands where its terminal stood.  Triples
+    are built bottom-up from productive ones only, so the |Q|^3 blowup is
+    paid only on pairs that can derive a word.
     """
     g = binarize(trim(g))
     if not g.productions:
-        return Cfg(frozenset({g.start}), t.output_alphabet, frozenset(), g.start)
-    outputs: dict[str, dict] = {a: {} for a in g.terminals}  # a -> (q, q2) -> words
-    for q, a, out, q2 in t.rules:
+        return Cfg(frozenset({g.start}), out_sigma, frozenset(), g.start)
+    outputs: dict[str, dict] = {a: {} for a in g.terminals}  # a -> (q, q2) -> word
+    for q, a, q2 in t.transitions:
         if a in outputs:
-            outputs[a].setdefault((q, q2), []).append(out)
+            outputs[a][q, q2] = emit(q, a, q2)
     # rel[x] = set of (q, q2) such that [q,x,q2] derives a word
     rel = _derived(g.variables, g.productions, lambda a: set(outputs[a]),
                    {(q, q) for q in t.states}, _compose)
@@ -510,46 +502,37 @@ def transducer_product(g: Cfg, t: Transducer) -> Cfg:
     for x, rhs in g.productions:
         moves = [outputs.get(s) for s in rhs]  # None for a variable
         for run in runs(rhs):
-            pieces = [[(tv(s, q, q2),)] if out is None else out[q, q2]
-                      for s, out, q, q2 in zip(rhs, moves, run, run[1:])]
-            for parts in product(*pieces):
-                prods.add((tv(x, run[0], run[-1]), sum(parts, ())))
+            body = sum(((tv(s, q, q2),) if out is None else out[q, q2]
+                        for s, out, q, q2 in zip(rhs, moves, run, run[1:])), ())
+            prods.add((tv(x, run[0], run[-1]), body))
     heads = {lhs for lhs, _ in prods}
     start = next(_new_names("S", heads))
-    for qf in t.accepting:
-        if (t.initial, qf) in rel[g.start]:
-            prods.add((start, (tv(g.start, t.initial, qf),)))
+    for qi in t.initial:
+        for qf in t.accepting:
+            if (qi, qf) in rel[g.start]:
+                prods.add((start, (tv(g.start, qi, qf),)))
     variables = frozenset(heads | {start})
-    return trim(Cfg(variables, t.output_alphabet, frozenset(prods), start))
+    return trim(Cfg(variables, out_sigma, frozenset(prods), start))
 
 
-def product_with_dfa(g: Cfg, d: Dfa) -> Cfg:
-    """Bar-Hillel product; recognizes L(g) intersected with the DFA language.
-
-    The DFA runs as the transducer that echoes each symbol it reads.
-    """
+def product_with_dfa(g: Cfg, d: Nfa) -> Cfg:
+    """Bar-Hillel product; recognizes L(g) intersected with the language of
+    the automaton d, which outputs each letter it reads."""
     for a in g.terminals:
         if a not in d.alphabet:
             raise InputError(f"terminal {a!r} missing from automaton alphabet")
-    states = range(d.n_states)
-    echo = frozenset((q, a, (a,), d.delta[(q, a)]) for q in states for a in d.alphabet)
-    return transducer_product(g, Transducer(frozenset(states), g.terminals, echo,
-                                            d.initial, d.accepting))
-
-
-def block_transducer(words: tuple[Word, ...], sigma: Alphabet) -> Transducer:
-    """Reads w1^t1 ... wn^tn and emits a1^t1 ... an^tn: the chain of
-    eb_to_nfa, emitting aj on each move into the boundary ("b", j)."""
-    nfa = eb_to_nfa(ElementaryBounded(words), sigma)
-    rules = frozenset((q, a, (f"a{q2[1]}",) if q2[0] == "b" else (), q2)
-                      for q, a, q2 in nfa.transitions)
-    out_sigma = alphabet([f"a{j}" for j in range(1, len(words) + 1)])
-    return Transducer(nfa.states, out_sigma, rules, ("b", 0), nfa.accepting)
+    return transducer_product(g, d, g.terminals, lambda q, a, q2: (a,))
 
 
 def block_projection(g: Cfg, words: tuple[Word, ...]) -> Cfg:
-    """Grammar over a1..an for { a1^t1...an^tn : w1^t1...wn^tn in L(g) }."""
-    return transducer_product(g, block_transducer(words, g.terminals))
+    """Grammar over a1..an for { a1^t1...an^tn : w1^t1...wn^tn in L(g) }:
+    the product with the eb_to_nfa chain, which outputs aj on each move
+    into the boundary ("b", j)."""
+    chain = eb_to_nfa(ElementaryBounded(words), g.terminals)
+    out_sigma = alphabet([f"a{j}" for j in range(1, len(words) + 1)])
+    return transducer_product(
+        g, chain, out_sigma,
+        lambda q, a, q2: (f"a{q2[1]}",) if q2[0] == "b" else ())
 
 
 # ---------------------------------------------------------------------------

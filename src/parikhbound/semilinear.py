@@ -596,52 +596,24 @@ def _eval_monomial(vec: Vec, occs, val: dict[str, SemilinearSet],
     return out
 
 
-def _scc_blocks(deps: dict, order) -> list[list]:
-    """Strongly connected components of the dependency graph, emitted with
-    dependencies before dependents (Tarjan, iterative)."""
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    blocks: list[list] = []
-    counter = 0
-    for root in order:
-        if root in index:
-            continue
-        work = [(root, iter(sorted(deps[root])))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(deps[w]))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-            if low[v] == index[v]:
-                block = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    block.append(w)
-                    if w == v:
-                        break
-                blocks.append(block)
-    return blocks
+def _scc_blocks(deps: dict) -> list[list]:
+    """Strongly connected components of the dependency graph, dependencies
+    before dependents.  A variable's block is the set of variables it
+    reaches that reach it back; blocks are ordered by reach size, then by
+    their least name.  That order is topological: when block A depends on
+    another block B, A reaches all that B reaches, and A's variables are not
+    reached from B, so A reaches strictly more."""
+    reach: dict = {}
+    for x in deps:
+        seen, stack = {x}, [x]
+        while stack:
+            for y in deps[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        reach[x] = seen
+    blocks = {tuple(sorted(y for y in reach[x] if x in reach[y])) for x in deps}
+    return sorted(blocks, key=lambda block: (len(reach[block[0]]), block))
 
 
 def _solve_block(block, matrix, rhs, dim):
@@ -699,7 +671,9 @@ def _newton(g: Cfg) -> tuple[tuple[tuple[str, SemilinearSet], ...], int]:
             deps[x].update(occs)
     values: dict[str, SemilinearSet] = {}
     depth_at: dict[str, int] = {}
-    for block in _scc_blocks(deps, all_vars):
+    # a block's values and depth read only its dependencies, so any
+    # topological order of the blocks gives the same result
+    for block in _scc_blocks(deps):
         order = sorted(block)
         in_block = set(block)
         inherited = max((depth_at[y] for x in order for y in deps[x]

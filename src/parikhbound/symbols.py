@@ -190,11 +190,12 @@ def eb_from_text(text: str) -> ElementaryBounded:
 
 @dataclass(frozen=True)
 class Nfa:
-    """Nondeterministic automaton; a transition symbol of None is an epsilon move."""
+    """Nondeterministic automaton without epsilon moves; a deterministic one
+    is an Nfa with one initial state and one successor per (state, letter)."""
 
     states: frozenset
     alphabet: Alphabet
-    transitions: frozenset  # of (state, symbol | None, state)
+    transitions: frozenset  # of (state, symbol, state)
     initial: frozenset
     accepting: frozenset
 
@@ -204,24 +205,18 @@ class Nfa:
             by_source.setdefault((p, a), set()).add(q)
         object.__setattr__(self, "_delta", by_source)
 
-    def _closure(self, qs: set) -> frozenset:
-        stack, seen = list(qs), set(qs)
-        while stack:
-            q = stack.pop()
-            for r in self._delta.get((q, None), ()):  # type: ignore[attr-defined]
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-        return frozenset(seen)
+    @property
+    def n_states(self) -> int:
+        return len(self.states)
 
     def step(self, qs: frozenset, a: str) -> frozenset:
         nxt: set = set()
         for q in qs:
             nxt |= self._delta.get((q, a), set())  # type: ignore[attr-defined]
-        return self._closure(nxt)
+        return frozenset(nxt)
 
     def accepts(self, w: Word) -> bool:
-        current = self._closure(set(self.initial))
+        current = self.initial
         for a in w:
             current = self.step(current, a)
             if not current:
@@ -229,34 +224,12 @@ class Nfa:
         return bool(current & self.accepting)
 
 
-class Dfa:
-    """Deterministic automaton with a total transition function over its alphabet."""
-
-    def __init__(self, n_states: int, sigma: Alphabet, delta: dict, initial: int,
-                 accepting: frozenset):
-        self.n_states = n_states
-        self.alphabet = sigma
-        self.delta = delta  # (state, symbol) -> state
-        self.initial = initial
-        self.accepting = frozenset(accepting)
-
-    def accepts(self, w: Word) -> bool:
-        q = self.initial
-        for a in w:
-            q = self.delta[(q, a)]
-        return q in self.accepting
-
-    def complement(self) -> "Dfa":
-        return Dfa(self.n_states, self.alphabet, self.delta, self.initial,
-                   frozenset(range(self.n_states)) - self.accepting)
-
-
-def determinize(n: Nfa) -> Dfa:
-    """Subset construction with epsilon closure; states are relabeled in BFS order."""
-    start = n._closure(set(n.initial))  # type: ignore[attr-defined]
-    ids = {start: 0}
-    queue = [start]
-    delta: dict = {}
+def determinize(n: Nfa) -> Nfa:
+    """Subset construction; the subsets become states 0..n-1 in BFS order.
+    The empty subset is a sink, so every state has one successor per letter."""
+    ids = {n.initial: 0}
+    queue = [n.initial]
+    transitions = set()
     while queue:
         current = queue.pop(0)
         i = ids[current]
@@ -265,9 +238,10 @@ def determinize(n: Nfa) -> Dfa:
             if nxt not in ids:
                 ids[nxt] = len(ids)
                 queue.append(nxt)
-            delta[(i, a)] = ids[nxt]
+            transitions.add((i, a, ids[nxt]))
     accepting = frozenset(i for s, i in ids.items() if s & n.accepting)
-    return Dfa(len(ids), n.alphabet, delta, 0, accepting)
+    return Nfa(frozenset(range(len(ids))), n.alphabet, frozenset(transitions),
+               frozenset({0}), accepting)
 
 
 def eb_to_nfa(b: ElementaryBounded, sigma: Alphabet) -> Nfa:
@@ -301,11 +275,14 @@ def eb_to_nfa(b: ElementaryBounded, sigma: Alphabet) -> Nfa:
                frozenset({("b", 0)}), accepting)
 
 
-def eb_complement_dfa(b: ElementaryBounded, sigma: Alphabet) -> Dfa:
+def eb_complement_dfa(b: ElementaryBounded, sigma: Alphabet) -> Nfa:
+    """A deterministic automaton for the words over sigma outside b."""
     for a in b.symbols_used():
         if a not in sigma:
             raise InputError(f"bounded-language symbol {a!r} missing from alphabet")
-    return determinize(eb_to_nfa(b, sigma)).complement()
+    d = determinize(eb_to_nfa(b, sigma))
+    return Nfa(d.states, d.alphabet, d.transitions, d.initial,
+               d.states - d.accepting)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +368,7 @@ def nfa_to_regex(n: Nfa) -> Regex:
         edges[(p, q)] = runion(edges.get((p, q), EMPTY), r)
 
     for p, a, q in n.transitions:
-        add(p, q, EPS if a is None else RSym(a))
+        add(p, q, RSym(a))
     for q in n.initial:
         add(INIT, q, EPS)
     for q in n.accepting:
@@ -415,43 +392,3 @@ def nfa_to_regex(n: Nfa) -> Regex:
             for q, rout in outs:
                 add(p, q, rconcat(rin, rconcat(loop, rout)))
     return edges.get((INIT, FINAL), EMPTY)
-
-
-def regex_to_nfa(r: Regex, sigma: Alphabet) -> Nfa:
-    """Thompson construction (uses epsilon transitions)."""
-    counter = [0]
-    transitions = set()
-
-    def new_state():
-        counter[0] += 1
-        return counter[0]
-
-    def build(rx) -> tuple[int, int]:
-        s, t = new_state(), new_state()
-        if isinstance(rx, REmpty):
-            pass
-        elif isinstance(rx, REpsilon):
-            transitions.add((s, None, t))
-        elif isinstance(rx, RSym):
-            transitions.add((s, rx.symbol, t))
-        elif isinstance(rx, RConcat):
-            s1, t1 = build(rx.left)
-            s2, t2 = build(rx.right)
-            transitions.update({(s, None, s1), (t1, None, s2), (t2, None, t)})
-        elif isinstance(rx, RUnion):
-            s1, t1 = build(rx.left)
-            s2, t2 = build(rx.right)
-            transitions.update({(s, None, s1), (s, None, s2),
-                                (t1, None, t), (t2, None, t)})
-        elif isinstance(rx, RStar):
-            s1, t1 = build(rx.inner)
-            transitions.update({(s, None, s1), (t1, None, s1),
-                                (s, None, t), (t1, None, t)})
-        else:
-            raise InputError(f"not a regex: {rx!r}")
-        return s, t
-
-    start, final = build(r)
-    states = frozenset(range(1, counter[0] + 1))
-    return Nfa(states, sigma, frozenset(transitions),
-               frozenset({start}), frozenset({final}))

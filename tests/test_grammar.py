@@ -7,13 +7,13 @@ import pytest
 from helpers import (ANBN, CORE_CORPUS, DYCK1, G_EX, PALIN, Budget,
                      full_corpus, per_length_parikh)
 from parikhbound import (BudgetError, Cfg, InputError, alphabet,
-                         block_projection, cyk_membership, enumerate_words,
-                         format_grammar, parse_grammar, product_with_dfa,
-                         simplify, trim)
+                         block_projection, bounded_subset, cyk_membership,
+                         enumerate_words, format_grammar, parse_grammar,
+                         product_with_dfa, simplify, trim)
 from parikhbound.grammar import (cfg, concat_grammars, finite_cfg,
                                  is_empty_language, to_cnf)
 from parikhbound.pdn import acceptor_to_cfg, encode_to_acceptors, family_instance
-from parikhbound.symbols import (chars, determinize, eb, eb_complement_dfa,
+from parikhbound.symbols import (Nfa, chars, determinize, eb, eb_complement_dfa,
                                  eb_to_nfa)
 
 AB = alphabet(["a", "b"])
@@ -74,6 +74,15 @@ def test_parse_eps_and_comments():
     g = parse_grammar("# comment\nS -> a S | eps\n")
     assert ("S", ()) in g.productions
     assert g.start == "S"
+
+
+def test_printed_grammar_parses_back():
+    # helper variables such as S#0 and [1,bin#0,2] hold a '#'
+    t = format_grammar(bounded_subset(parse_grammar("S -> a S b | a b")))
+    assert "#" in t
+    assert format_grammar(parse_grammar(t)) == t
+    g = parse_grammar("S -> a b  # note\n")
+    assert g == cfg({"S"}, ["a", "b"], [("S", ("a", "b"))], "S")
 
 
 def test_parse_a_variable_named_start():
@@ -235,15 +244,15 @@ def test_block_projection_counts_blocks():
 
 def test_product_with_empty_dfa_is_empty():
     dfa = determinize(eb_to_nfa(eb([("a",)]), AB))
-    empty = type(dfa)(dfa.n_states, dfa.alphabet, dfa.delta, dfa.initial,
-                      frozenset())
+    empty = Nfa(dfa.states, dfa.alphabet, dfa.transitions, dfa.initial,
+                frozenset())
     assert is_empty_language(product_with_dfa(trim(G_EX), empty))
 
 
 def test_product_with_full_dfa_is_identity():
     full = determinize(eb_to_nfa(eb([]), AB))
-    full = type(full)(full.n_states, full.alphabet, full.delta, full.initial,
-                      frozenset(range(full.n_states)))
+    full = Nfa(full.states, full.alphabet, full.transitions, full.initial,
+               full.states)
     inter = product_with_dfa(trim(G_EX), full)
     assert words_set(inter, 6) == words_set(G_EX, 6)
     assert per_length_parikh(inter, 6, AB) == per_length_parikh(G_EX, 6, AB)

@@ -6,7 +6,8 @@ from helpers import eb_words, greedy_collapse
 from parikhbound import (InputError, alphabet, determinize, eb, eb_concat,
                          eb_complement_dfa, eb_from_text, eb_to_nfa,
                          eb_to_text, nfa_to_regex, parikh_of_word, word)
-from parikhbound.symbols import chars, regex_to_nfa
+from parikhbound.grammar import cyk_membership, regex_to_cfg
+from parikhbound.symbols import chars
 
 AB = alphabet(["a", "b"])
 
@@ -122,15 +123,19 @@ def test_determinize_preserves_language():
     dfa = determinize(nfa)
     for w in all_words(AB, 5):
         assert dfa.accepts(w) == nfa.accepts(w)
+    # deterministic and total, as eb_complement_dfa needs
+    assert len(dfa.initial) == 1
+    for q in dfa.states:
+        for a in AB:
+            assert len(dfa.step(frozenset({q}), a)) == 1, (q, a)
 
 
 def test_nfa_regex_nfa_round_trip():
     b = eb([chars("ab"), chars("a")])
     nfa = eb_to_nfa(b, AB)
-    r = nfa_to_regex(nfa)
-    back = regex_to_nfa(r, AB)
+    back = regex_to_cfg(nfa_to_regex(nfa), AB)
     for w in all_words(AB, 5):
-        assert back.accepts(w) == nfa.accepts(w)
+        assert cyk_membership(back, w) == nfa.accepts(w), w
 
 
 def test_eb_text_round_trip():
