@@ -20,8 +20,8 @@ from .grammar import (Cfg, LinearGrammar, enumerate_words, finite_cfg,
                       is_empty_language, product_with_dfa, regex_to_cfg, simplify,
                       trim)
 from .newton import KFoldComposition, build_kfold, suggested_depth, v_symbol
-from .semilinear import (WitnessedSemilinear, parikh_image, wit_minkowski,
-                         wit_singleton)
+from .semilinear import (WitnessedSemilinear, _spans_within, parikh_image,
+                         wit_minkowski, wit_singleton)
 from .symbols import (Alphabet, ElementaryBounded, Nfa, Regex, REmpty, REpsilon,
                       RSym, RConcat, RUnion, RStar, Word, alphabet, determinize,
                       eb, eb_concat, eb_to_nfa, nfa_to_regex, parikh_of_word)
@@ -55,20 +55,39 @@ def _powers_from_image(image: WitnessedSemilinear,
     """B' = u1* ... ul* B^m for the language L whose witnessed Parikh image
     is given, where Parikh(L intersect B) = Parikh(L).
 
-    The linear components of Parikh(L) number l, each ui is a witness word
-    of L for the i-th component constant ci, and m of the components have
-    periods.
+    The linear components ci + span(Pi) of Parikh(L) number l, and each ui
+    is a witness word of L for the constant ci.  The components with
+    periods are covered by m chains: sorted by more periods first, then by
+    periods and constant, each one goes on the first chain whose last
+    element's span contains its own, or starts a new chain.  Span
+    containment is transitive, so on every chain the span of each element
+    contains the spans of all later ones.
 
-    Why m copies of B suffice: take v in Parikh(L^t) and say component i
-    is used ti times.  A period-free component adds ti.ci, which is
-    Parikh(ui^ti).  A periodic component adds (ti - 1).ci + x, where x is
-    one element of that component, so x lies in Parikh(L) = Parikh(L
-    intersect B) and one word of its copy of B realizes it.  When ti = 0,
-    that copy of B contributes the empty word.
+    Why one copy of B per chain suffices: take v in Parikh(L^t) and say
+    component i is used ti times, so v = sum over used i of (ti.ci + pi)
+    with pi in span(Pi) and sum ti = t.  A period-free component adds
+    ti.ci, which is Parikh(ui^ti).  On a chain with a used component, let s
+    be the first one used; every used i on that chain has span(Pi) inside
+    span(Ps), so y = cs + sum of those pi lies in cs + span(Ps), a subset
+    of Parikh(L) = Parikh(L intersect B).  One word of L intersect B, in
+    the chain's copy of B, realizes y, and the words ui^ti, with us taken
+    ts - 1 times, realize the rest of the chain's sum.  So s still gets ts
+    words of L and every other used i gets ti, t words in all; read in the
+    order of B' they form a word of L^t inside B' with Parikh vector v.  A
+    chain with no used component takes the empty word from its copy.
     """
     witnesses = [w for _, w in image.components]
-    periodic = sum(1 for comp, _ in image.components if comp.periods)
-    return eb_concat(eb(witnesses), *([b] * periodic))
+    periodic = sorted((comp for comp, _ in image.components if comp.periods),
+                      key=lambda c: (-len(c.periods), c.periods, c.constant))
+    chains: list = []   # the last element of each chain
+    for comp in periodic:
+        for k, last in enumerate(chains):
+            if _spans_within(comp._gens, last._gens):
+                chains[k] = comp
+                break
+        else:
+            chains.append(comp)
+    return eb_concat(eb(witnesses), *([b] * len(chains)))
 
 
 # ---------------------------------------------------------------------------

@@ -367,11 +367,13 @@ def nfa_to_regex(n: Nfa) -> Regex:
             return
         edges[(p, q)] = runion(edges.get((p, q), EMPTY), r)
 
-    for p, a, q in n.transitions:
+    # frozensets iterate in hash order; sorting keeps the regex, and every
+    # bounded language built from it, independent of PYTHONHASHSEED
+    for p, a, q in sorted(n.transitions, key=repr):
         add(p, q, RSym(a))
-    for q in n.initial:
+    for q in sorted(n.initial, key=repr):
         add(INIT, q, EPS)
-    for q in n.accepting:
+    for q in sorted(n.accepting, key=repr):
         add(q, FINAL, EPS)
 
     remaining = set(n.states)

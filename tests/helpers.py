@@ -187,10 +187,28 @@ def _reference_substitute_word(wi, sigma_map, tau_map, out_alphabet) -> list:
         image = part if image is None else wit_minkowski(image, part)
     ti = greedy_collapse(w for a in wi
                          for w in tau_map.get(a, eb([(a,)])).words)
-    # B' = u1* ... ul* Ti^m, m the number of periodic components
+    # B' = u1* ... ul* Ti^m, m the number of chains of nested period spans
     witnesses = [w for _, w in image.components if w]
-    periodic = sum(1 for comp, _ in image.components if comp.periods)
-    return greedy_collapse(witnesses + ti * periodic)
+    return greedy_collapse(witnesses + ti * reference_chain_count(image))
+
+
+def reference_chain_count(image) -> int:
+    """The number of chains in ``_powers_from_image``'s greedy cover of the
+    periodic components, with span containment decided by its definition:
+    every period of a component is a natural combination of the periods of
+    the chain's last element."""
+    periodic = sorted((comp for comp, _ in image.components if comp.periods),
+                      key=lambda c: (-len(c.periods), c.periods, c.constant))
+    chains = []
+    for comp in periodic:
+        k = next((k for k, last in enumerate(chains)
+                  if all(solve_nonneg(last.periods, p) is not None
+                         for p in comp.periods)), None)
+        if k is None:
+            chains.append(comp)
+        else:
+            chains[k] = comp
+    return len(chains)
 
 
 def reference_lin_subsumed(a, b) -> bool:

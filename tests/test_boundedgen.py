@@ -1,4 +1,4 @@
-from helpers import (ANBN, CORE_CORPUS, DYCK1, G_EX, PALIN, eb_words,
+from helpers import (ANBN, DYCK1, G_EX, PALIN, eb_words,
                      full_corpus, per_length_parikh,
                      reference_bounded_for_substitution,
                      reference_parikh_equivalent_bounded, two_thread_networks)
@@ -64,9 +64,11 @@ def test_bounded_for_linear_on_palindromes():
 
 
 def test_parikh_equivalent_bounded_on_corpus():
-    for g in CORE_CORPUS:
+    for i, g in enumerate(full_corpus()):
         b = parikh_equivalent_bounded(g)
-        assert verify_parikh_property(trim(g), b, 8), g.start
+        assert verify_parikh_property(trim(g), b, 8), i
+    # X0 -> X2 X0 | a a a; X2 -> a b a | b X2 has a B of 37 words
+    assert len(parikh_equivalent_bounded(full_corpus()[14]).words) <= 40
 
 
 def _check_powers(g, bp):
@@ -97,6 +99,25 @@ def test_bounded_for_powers():
     bp = bounded_for_powers(mixed, b)
     assert bp == eb_concat(eb(witnesses), b)
     _check_powers(mixed, bp)
+    # a+ has span{a}, inside span{a, b} of b{a,b}*: one chain, one copy
+    nested = trim(parse_grammar(
+        "S -> A | b T\nA -> a A | a\nT -> a T | b T | eps"))
+    assert sorted(c.periods for c, _ in parikh_image(nested).components) \
+        == [((0, 1), (1, 0)), ((1, 0),)]
+    b = parikh_equivalent_bounded(nested)
+    witnesses = [w for _, w in parikh_image(nested).components]
+    bp = bounded_for_powers(nested, b)
+    assert bp == eb_concat(eb(witnesses), b)
+    _check_powers(nested, bp)
+    # span{a} of a+ and span{b} of b+ are incomparable: two chains
+    apart = trim(parse_grammar("S -> A | B\nA -> a A | a\nB -> b B | b"))
+    assert sorted(c.periods for c, _ in parikh_image(apart).components) \
+        == [((0, 1),), ((1, 0),)]
+    b = parikh_equivalent_bounded(apart)
+    witnesses = [w for _, w in parikh_image(apart).components]
+    bp = bounded_for_powers(apart, b)
+    assert bp == eb_concat(eb(witnesses), b, b) != eb_concat(eb(witnesses), b)
+    _check_powers(apart, bp)
     # a finite language needs no copy of B at all
     finite = trim(finite_cfg([("a", "b"), ("b",), ("b", "a", "a")], AB))
     witnesses = [w for _, w in parikh_image(finite).components]

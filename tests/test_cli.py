@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +68,31 @@ def test_bound_subset_does_not_depend_on_earlier_calls(files, capsys):
         "start S\nS -> a S b | A A\nA -> a A b | c\n"))
     assert main(["bound", path, "--subset"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_output_does_not_depend_on_the_hash_seed(files):
+    # the bounded language of X0 -> X2 X0 | a a a; X2 -> a b a | b X2 once
+    # followed the iteration order of frozensets; the intersection pair
+    # needs a refinement round, so its verdict goes through B
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = [
+        ["--format", "json", "bound",
+         files("g14.txt", "start X0\nX0 -> X2 X0 | a a a\n"
+                          "X2 -> a b a | b X2\n")],
+        ["--format", "json", "check-intersection",
+         files("r1.txt", "start X0\nX0 -> eps | b a X1\nX1 -> b | b b a\n"),
+         files("r2.txt", "start X0\nX0 -> X0 a | a X0 | b b\n")],
+    ]
+    for args in runs:
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            run = subprocess.run([sys.executable, "-m", "parikhbound.cli",
+                                  *args], env=env, capture_output=True,
+                                 timeout=120)
+            assert run.stdout and not run.stderr, run.stderr
+            outs.append(run.stdout)
+        assert outs[0] == outs[1], args[2]
 
 
 def test_bound_emit_proof_lists_the_start_variables_chain(files, capsys):
