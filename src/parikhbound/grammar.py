@@ -152,10 +152,12 @@ def _derived(variables, productions, leaf, unit, join) -> dict[str, set]:
     product; trimming, nullability and CYK are instances of it.  Enumeration
     and Parikh witnesses stay on CNF: witness_for_vector keeps the first word
     its evaluation order finds, and that word enters the bounded language,
-    so another order would change the output; enumerate_words checks its
-    budget per stored word, while a join builds a whole right-hand side's
-    words before any check, which on acceptor grammars runs for minutes
-    where the CNF table runs out of budget in under a second."""
+    so another order would change the output.  enumerate_words fills its CNF
+    table once, in order of length, and checks its budget per stored word;
+    a join here builds a whole right-hand side's words before any check, and
+    again each time one of its symbols grows, which on acceptor grammars
+    runs for minutes where the CNF table runs out of budget in under a
+    second."""
     rel: dict[str, set] = {x: set() for x in variables}
     symbol: dict[str, set] = {}
     users: dict[str, list[Production]] = {}
@@ -324,7 +326,14 @@ def cyk_membership(g: Cfg, w: Word) -> bool:
 
 def enumerate_words(g: Cfg, max_length: int, budget: int = 500_000) -> list[Word]:
     """All words of L(g) up to max_length, sorted; raises BudgetError when the
-    total number of stored intermediate words exceeds the budget."""
+    total number of stored intermediate words exceeds the budget.
+
+    One pass in order of length fills the table: CNF has no unit rules and no
+    epsilon-rules (epsilon shows only as eps_in_language), so both parts of a
+    word of length n that X -> Y Z derives are nonempty and shorter than n,
+    and every cell they come from is complete when length n is filled."""
+    if max_length < 0:
+        raise InputError(f"enumeration length must be >= 0, not {max_length}")
     cnf = to_cnf(g)
     variables = ({x for x, _, _ in cnf.binary} | {y for _, y, _ in cnf.binary}
                  | {z for _, _, z in cnf.binary} | {x for x, _ in cnf.unary}
@@ -336,26 +345,22 @@ def enumerate_words(g: Cfg, max_length: int, budget: int = 500_000) -> list[Word
         if max_length >= 1:
             table[x][1].add((a,))
             stored += 1
-    changed = True
-    while changed:
-        changed = False
+    for total in range(2, max_length + 1):
         for x, y, z in cnf.binary:
-            for total in range(2, max_length + 1):
-                cell = table[x][total]
-                for i in range(1, total):
-                    lefts, rights = table[y][i], table[z][total - i]
-                    if not lefts or not rights:
-                        continue
-                    for u in lefts:
-                        for v in rights:
-                            wv = u + v
-                            if wv not in cell:
-                                cell.add(wv)
-                                stored += 1
-                                if stored > budget:
-                                    raise BudgetError(
-                                        f"enumeration exceeded {budget} words")
-                                changed = True
+            cell = table[x][total]
+            for i in range(1, total):
+                lefts, rights = table[y][i], table[z][total - i]
+                if not lefts or not rights:
+                    continue
+                for u in lefts:
+                    for v in rights:
+                        wv = u + v
+                        if wv not in cell:
+                            cell.add(wv)
+                            stored += 1
+                            if stored > budget:
+                                raise BudgetError(
+                                    f"enumeration exceeded {budget} words")
     out: set[Word] = set()
     if cnf.eps_in_language:
         out.add(())

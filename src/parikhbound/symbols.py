@@ -230,9 +230,8 @@ def determinize(n: Nfa) -> Nfa:
     ids = {n.initial: 0}
     queue = [n.initial]
     transitions = set()
-    while queue:
-        current = queue.pop(0)
-        i = ids[current]
+    # the list grows while it is walked; a subset's index in it is its id
+    for i, current in enumerate(queue):
         for a in n.alphabet:
             nxt = n.step(current, a)
             if nxt not in ids:

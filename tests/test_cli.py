@@ -198,6 +198,15 @@ def test_oracle_verify(files, capsys):
     assert "pass" in out
 
 
+def test_negative_enumeration_length_exits_2(files, capsys):
+    # no word is that short; the length is rejected, not reported as verified
+    path = files("pal.g", "P -> a P a | b P b | eps\n")
+    assert main(["bound", path, "--verify", "-2"]) == 2
+    assert main(["parikh", path, "--verify", "-1"]) == 2
+    assert main(["oracle-verify", path, "--length", "-1"]) == 2
+    assert "verified" not in capsys.readouterr().out
+
+
 def test_bad_input_exits_2(files, capsys):
     assert main(["parikh", "/nonexistent/file"]) == 2
     bad = files("bad.txt", "no productions here")

@@ -156,6 +156,38 @@ def rebuilt_from_cnf(g):
     return cfg(variables, g.terminals, prods, start)
 
 
+def test_enumerate_words_agrees_with_oracle():
+    # epsilon in the language, and max_length 0 and 1, are covered
+    for g in full_corpus() + ODD_SHAPES + [HELPER_NAMED]:
+        t = trim(g)
+        for n in range(8):
+            assert set(enumerate_words(t, n)) == oracles.words_upto(g, n), \
+                (g.start, n)
+        with pytest.raises(InputError):
+            enumerate_words(t, -1)
+
+
+def test_enumeration_budget_counts_stored_words():
+    # the table stores, for each CNF variable, its nonempty words up to n;
+    # the budget is checked as words of length >= 2 are stored, so grammars
+    # without binary rules never reach the check
+    n = 6
+    for g in full_corpus():
+        t = trim(g)
+        cnf, r = to_cnf(t), rebuilt_from_cnf(t)
+        if not cnf.binary:
+            continue
+        variables = ({x for rule in cnf.binary for x in rule}
+                     | {x for x, _ in cnf.unary} | {cnf.start})
+        stored = sum(1 for x in variables
+                     for w in oracles.words_upto(
+                         Cfg(r.variables, r.terminals, r.productions, x), n)
+                     if w)
+        enumerate_words(t, n, budget=stored)
+        with pytest.raises(BudgetError):
+            enumerate_words(t, n, budget=stored - 1)
+
+
 def test_to_cnf_preserves_language():
     # a grammar rebuilt from a CNF holds term#0, and bin#0 if it had a long
     # rule; a long rule added to it makes to_cnf name new helpers again
