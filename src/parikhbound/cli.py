@@ -147,6 +147,14 @@ def cmd_oracle_verify(args) -> int:
     return 0 if ok and image_ok else 1
 
 
+def _length(text: str) -> int:
+    """An enumeration length, rejected by the parser when negative, before
+    any grammar is read."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, not {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parikhbound",
@@ -163,13 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the bounded language of the start variable "
                         "at each composition level; a level's v_Y stands for "
                         "Y one level down")
-    p.add_argument("--verify", type=int, default=0, metavar="N",
+    p.add_argument("--verify", type=_length, default=0, metavar="N",
                    help="re-check the result by enumeration up to length N")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("parikh", help="compute the Parikh image of a grammar")
     p.add_argument("grammar")
-    p.add_argument("--verify", type=int, default=0, metavar="N")
+    p.add_argument("--verify", type=_length, default=0, metavar="N")
     p.set_defaults(func=cmd_parikh)
 
     p = sub.add_parser("check-intersection",
@@ -192,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-verify",
                        help="re-derive the core guarantees by enumeration")
     p.add_argument("grammar")
-    p.add_argument("--length", type=int, default=8)
+    p.add_argument("--length", type=_length, default=8)
     p.set_defaults(func=cmd_oracle_verify)
     return parser
 
@@ -200,7 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     # regex trees and recursive constructions can get deep on generated inputs
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (2, reported) or --help (0)
+        return exc.code
     if getattr(args, "command", None) == "reach-pdn" \
             and not args.network and not args.family:
         print("error: provide a network file or --family K", file=sys.stderr)

@@ -11,8 +11,6 @@ appending -target as an extra column whose coefficient is forced to one.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import BudgetError
 
 Vec = tuple[int, ...]
@@ -84,15 +82,6 @@ def solve_system(columns: list[Vec], target: Vec, node_budget: int = 300_000
     return particular, homogeneous
 
 
-def solve_nonneg(columns: list[Vec], target: Vec) -> Vec | None:
-    """One solution of sum_j x_j col_j = target for NONNEGATIVE columns.
-
-    Depth-first search with failure memoization; complete because columns are
-    nonnegative, so coefficients are bounded by the remaining target.
-    """
-    return _solve_nonneg(tuple(tuple(c) for c in columns), tuple(target))
-
-
 def _support(v: Vec) -> int:
     m = 0
     for i, x in enumerate(v):
@@ -101,8 +90,13 @@ def _support(v: Vec) -> int:
     return m
 
 
-@lru_cache(maxsize=1 << 18)
-def _solve_nonneg(columns: tuple[Vec, ...], target: Vec) -> Vec | None:
+def solve_nonneg(columns: list[Vec], target: Vec) -> Vec | None:
+    """One solution of sum_j x_j col_j = target for NONNEGATIVE columns.
+
+    Depth-first search with failure memoization; complete because columns are
+    nonnegative, so coefficients are bounded by the remaining target.  Not
+    cached here: callers cache per question (semilinear._in_span).
+    """
     q = len(columns)
     if any(t < 0 for t in target):
         return None
@@ -133,4 +127,4 @@ def _solve_nonneg(columns: tuple[Vec, ...], target: Vec) -> Vec | None:
         dead.add((j, rest))
         return None
 
-    return rec(0, target)
+    return rec(0, tuple(target))

@@ -345,6 +345,8 @@ def enumerate_words(g: Cfg, max_length: int, budget: int = 500_000) -> list[Word
         if max_length >= 1:
             table[x][1].add((a,))
             stored += 1
+    if stored > budget:
+        raise BudgetError(f"enumeration exceeded {budget} words")
     for total in range(2, max_length + 1):
         for x, y, z in cnf.binary:
             cell = table[x][total]

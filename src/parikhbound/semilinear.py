@@ -60,17 +60,19 @@ def _join(ga: _Gens, gb: _Gens) -> _Gens:
     return _gens(tuple(sorted({*ga.periods, *gb.periods})))
 
 
-def _in_span(periods: tuple[Vec, ...], v: Vec) -> bool:
-    """v is a natural combination of periods; most often it is one of them."""
-    return v in periods or diophantine.solve_nonneg(periods, v) is not None
+@lru_cache(maxsize=1 << 16)
+def _in_span(gens: _Gens, v: Vec) -> bool:
+    """v is a natural combination of the periods; most often it is one of
+    them.  An entry holds no linear set alive."""
+    return v in gens.periods or \
+        diophantine.solve_nonneg(gens.periods, v) is not None
 
 
 @lru_cache(maxsize=1 << 16)
 def _spans_within(ga: _Gens, gb: _Gens) -> bool:
     """Every period of ga lies in span_N(gb.periods), so span(ga) is inside
     span(gb)."""
-    return not ga.mask & ~gb.mask and all(_in_span(gb.periods, p)
-                                          for p in ga.periods)
+    return not ga.mask & ~gb.mask and all(_in_span(gb, p) for p in ga.periods)
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,8 @@ class LinearSet:
     hash use constant and periods alone; _gens, the interned period set, lets
     span containment be decided once per pair of period sets."""
 
+    __slots__ = ("constant", "periods", "_gens", "_hash", "_csum", "_pmask",
+                 "_zeros", "_sub_sig")
     constant: Vec
     periods: tuple[Vec, ...]
 
@@ -87,20 +91,27 @@ class LinearSet:
         if any(c < 0 for c in self.constant):
             raise InputError("linear sets live in the nonnegative orthant")
         self._set_gens(_gens(tuple(sorted({p for p in self.periods
-                                           if any(p)}))))
+                                           if any(p)}))),
+                       sum(self.constant),
+                       ~_support(self.constant) & ((1 << self.dim) - 1))
 
-    def _set_gens(self, gens: _Gens):
+    def _set_gens(self, gens: _Gens, csum: int, zeros: int):
+        """csum: the constant's weight; zeros: its zero coordinates."""
         setattr_ = object.__setattr__
         setattr_(self, "periods", gens.periods)
         setattr_(self, "_gens", gens)
         setattr_(self, "_hash", hash((self.constant, gens.periods)))
-        setattr_(self, "_csum", sum(self.constant))
+        setattr_(self, "_csum", csum)
         setattr_(self, "_pmask", gens.mask)
+        setattr_(self, "_zeros", zeros)
         # a subset of this set has its period support, and the zero
         # coordinates of its constant, inside this set's; tested on these
         # bits before any search
-        zeros = ~_support(self.constant) & ((1 << self.dim) - 1)
         setattr_(self, "_sub_sig", gens.mask | zeros << self.dim)
+
+    def __reduce__(self):
+        # frozen slots: rebuild through the constructor
+        return (LinearSet, (self.constant, self.periods))
 
     def __hash__(self):
         return self._hash
@@ -180,7 +191,8 @@ def _lin_minkowski(a: LinearSet, b: LinearSet) -> LinearSet:
     constant is a sum of natural vectors, so nothing needs checking."""
     out = object.__new__(LinearSet)
     object.__setattr__(out, "constant", tuple(map(add, a.constant, b.constant)))
-    out._set_gens(_join(a._gens, b._gens))
+    out._set_gens(_join(a._gens, b._gens), a._csum + b._csum,
+                  a._zeros & b._zeros)
     return out
 
 
@@ -232,7 +244,7 @@ def lin_membership(l: LinearSet, v: Vec) -> bool:
     rest = tuple(a - b for a, b in zip(v, l.constant))
     if any(r < 0 for r in rest):
         return False
-    return not any(rest) or _in_span(l.periods, rest)
+    return not any(rest) or _in_span(l._gens, rest)
 
 
 def sl_membership(s: SemilinearSet, v) -> bool:
@@ -254,7 +266,7 @@ def _lin_subsumed(a: LinearSet, b: LinearSet) -> bool:
     gap = tuple(map(sub, a.constant, b.constant))
     if min(gap, default=0) < 0 or _support(gap) & ~b._pmask:
         return False
-    return not any(gap) or _in_span(b.periods, gap)
+    return not any(gap) or _in_span(b._gens, gap)
 
 
 def _merge_pair(a: LinearSet, b: LinearSet) -> LinearSet | None:
@@ -267,17 +279,30 @@ def _merge_pair(a: LinearSet, b: LinearSet) -> LinearSet | None:
        not _spans_within(a._gens, b._gens):
         return None  # d must be nonzero; span(a.periods) must fit in b's
     d = tuple(map(sub, b.constant, a.constant))
-    if min(d) < 0 or b._pmask & ~(a._pmask | _support(d)):
-        return None  # d must be natural, and a plus d span b's directions
-    return _merge_search(a, b, d)
+    dmask = _support(d)
+    if min(d) < 0 or dmask & ~b._pmask or b._pmask & ~(a._pmask | dmask):
+        return None  # d must be natural and in b's directions, which a and d span
+    gens = _merge_search(a._gens, b._gens, d)
+    if gens is None:
+        return None
+    out = object.__new__(LinearSet)
+    object.__setattr__(out, "constant", a.constant)
+    out._set_gens(gens, a._csum, a._zeros)
+    return out
 
 
 @lru_cache(maxsize=1 << 16)
-def _merge_search(a: LinearSet, b: LinearSet, d: Vec) -> LinearSet | None:
-    """The merge, given span(a.periods) inside span(b.periods)."""
-    merged = a.periods + (d,)
-    if _in_span(b.periods, d) and all(_in_span(merged, q) for q in b.periods):
-        return LinearSet(a.constant, merged)
+def _merge_search(ga: _Gens, gb: _Gens, d: Vec) -> _Gens | None:
+    """The merge's period set ga + {d}, given span(ga) inside span(gb), if
+    d is in span(gb) and gb in span(ga + {d}).  Translates of a pair share
+    the entry, which holds no linear set alive."""
+    if not _in_span(gb, d):
+        return None
+    # tested before interning, so a failed merge interns no period set
+    merged = (*ga.periods, d)
+    if all(q in merged or diophantine.solve_nonneg(merged, q) is not None
+           for q in gb.periods):
+        return _gens(tuple(sorted(set(merged))))
     return None
 
 
@@ -356,7 +381,8 @@ def _prune_pairs(pairs: list, group: dict | None = None) -> list:
             a, _, ga = kept[i]
             for j in range(i + 1, len(kept)):
                 b, _, gb = kept[j]  # _merge_pair's first rejects, inline
-                if ga == gb or a._csum >= b._csum or a._pmask & ~b._pmask:
+                if ga == gb or a._csum >= b._csum or a._pmask & ~b._pmask \
+                        or b._zeros & ~a._zeros:  # else d < 0 somewhere
                     continue
                 m = _merge_pair(a, b)
                 if m is not None:

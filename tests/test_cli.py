@@ -198,13 +198,21 @@ def test_oracle_verify(files, capsys):
     assert "pass" in out
 
 
-def test_negative_enumeration_length_exits_2(files, capsys):
-    # no word is that short; the length is rejected, not reported as verified
+def test_negative_enumeration_length_exits_2(files, capsys, monkeypatch):
+    # no word is that short; the parser rejects the length before any
+    # construction runs, rather than reporting it as verified
+    def never(*args, **kwargs):
+        raise AssertionError("the construction ran before the length check")
+    monkeypatch.setattr(cli, "parikh_equivalent_bounded", never)
+    monkeypatch.setattr(cli, "parikh_image", never)
     path = files("pal.g", "P -> a P a | b P b | eps\n")
     assert main(["bound", path, "--verify", "-2"]) == 2
+    assert main(["bound", path, "--subset", "--verify", "-3"]) == 2
     assert main(["parikh", path, "--verify", "-1"]) == 2
     assert main(["oracle-verify", path, "--length", "-1"]) == 2
-    assert "verified" not in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.count("must be an integer >= 0") == 4
 
 
 def test_bad_input_exits_2(files, capsys):

@@ -169,23 +169,24 @@ def test_enumerate_words_agrees_with_oracle():
 
 def test_enumeration_budget_counts_stored_words():
     # the table stores, for each CNF variable, its nonempty words up to n;
-    # the budget is checked as words of length >= 2 are stored, so grammars
-    # without binary rules never reach the check
-    n = 6
+    # the words of length 1 count as well, so a grammar with no binary rule,
+    # or n = 1, runs out of budget too
     for g in full_corpus():
         t = trim(g)
         cnf, r = to_cnf(t), rebuilt_from_cnf(t)
-        if not cnf.binary:
-            continue
         variables = ({x for rule in cnf.binary for x in rule}
                      | {x for x, _ in cnf.unary} | {cnf.start})
-        stored = sum(1 for x in variables
-                     for w in oracles.words_upto(
-                         Cfg(r.variables, r.terminals, r.productions, x), n)
-                     if w)
-        enumerate_words(t, n, budget=stored)
-        with pytest.raises(BudgetError):
-            enumerate_words(t, n, budget=stored - 1)
+        for n in (1, 6):
+            stored = sum(1 for x in variables
+                         for w in oracles.words_upto(
+                             Cfg(r.variables, r.terminals, r.productions, x),
+                             n)
+                         if w)
+            enumerate_words(t, n, budget=stored)
+            with pytest.raises(BudgetError):
+                enumerate_words(t, n, budget=stored - 1)
+    with pytest.raises(BudgetError):
+        enumerate_words(trim(parse_grammar("S -> a S | a")), 1, budget=0)
 
 
 def test_to_cnf_preserves_language():

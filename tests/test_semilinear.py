@@ -1,3 +1,4 @@
+import pickle
 from itertools import product
 from operator import add
 from unittest.mock import patch
@@ -17,9 +18,10 @@ from parikhbound import (LinearSet, SemilinearSet, cyk_membership,
 from parikhbound import semilinear
 from parikhbound.diophantine import solve_nonneg
 from parikhbound.pdn import acceptor_to_cfg, encode_to_acceptors, family_instance
-from parikhbound.semilinear import (WitnessedSemilinear, _lin_subsumed,
-                                    _merge_pair, _prune_pairs, _spans_within,
-                                    prune, sl_minkowski, sl_singleton, sl_star,
+from parikhbound.semilinear import (WitnessedSemilinear, _lin_minkowski,
+                                    _lin_subsumed, _merge_pair, _merge_search,
+                                    _prune_pairs, _spans_within, prune,
+                                    sl_minkowski, sl_singleton, sl_star,
                                     sl_union, wit_minkowski)
 from test_caches import lru_caches
 
@@ -133,13 +135,49 @@ def lin_pairs(draw):
 @example((linear_set((1, 0), ((1, 0),)), linear_set((0, 0), ((0, 1),))))
 @example((linear_set((1, 2), ((0, 1),)),
           linear_set((1, 1), ((0, 1), (2, 0)))))
+# the gap (1, 1) leaves b's period support
+@example((linear_set((0, 0), ((1, 0),)), linear_set((1, 1), ((1, 0),))))
+# b's constant is zero where a's is not, so the gap is negative
+@example((linear_set((1, 0), ()), linear_set((0, 2), ((0, 1),))))
+# the gap is already a period of a
+@example((linear_set((0, 0), ((1, 1),)), linear_set((1, 1), ((1, 1),))))
 def test_rejects_before_search_match_the_definitions(pair):
     for a, b in (pair, pair[::-1]):
         subsumed = reference_lin_subsumed(a, b)
         assert _lin_subsumed(a, b) == subsumed
         # the mask test that _prune_pairs makes before calling _lin_subsumed
         assert not subsumed or not a._sub_sig & ~b._sub_sig
-        assert _merge_pair(a, b) == reference_merge_pair(a, b)
+        merged = reference_merge_pair(a, b)
+        assert _merge_pair(a, b) == merged
+        # the rejects that the merge scan of _prune_pairs makes inline
+        assert merged is None or not (a._csum >= b._csum
+                                      or a._pmask & ~b._pmask
+                                      or b._zeros & ~a._zeros)
+
+
+def test_merge_cache_is_keyed_by_period_sets_and_gap():
+    # a translated pair has the same period sets and gap, so it finds the
+    # entry of the first; the entry holds neither pair alive
+    a = linear_set((0, 1), ((1, 0),))
+    b = linear_set((0, 2), ((1, 0), (0, 1)))
+    _merge_search.cache_clear()
+    assert _merge_pair(a, b) == linear_set((0, 1), ((1, 0), (0, 1)))
+    assert _merge_pair(linear_set((2, 4), ((1, 0),)),
+                       linear_set((2, 5), ((1, 0), (0, 1)))) \
+        == linear_set((2, 4), ((1, 0), (0, 1)))
+    info = _merge_search.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_linear_sets_have_slots_and_keep_equality_hash_and_repr():
+    built = linear_set((1, 0), ((0, 2), (0, 1)))
+    summed = _lin_minkowski(linear_set((1, 0)), linear_set((0, 0), ((0, 1),)))
+    merged = _merge_pair(linear_set((1, 0)), linear_set((1, 1), ((0, 1),)))
+    for l in (built, summed, merged, pickle.loads(pickle.dumps(built))):
+        assert not hasattr(l, "__dict__")
+        assert repr(l) == "LinearSet(constant=(1, 0), periods=((0, 1),))"
+        assert l == built and hash(l) == hash(((1, 0), ((0, 1),)))
+        assert (l._csum, l._zeros) == (1, 0b10)
 
 
 @settings(max_examples=300, deadline=None)
