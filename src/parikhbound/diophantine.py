@@ -11,7 +11,10 @@ appending -target as an extra column whose coefficient is forced to one.
 
 from __future__ import annotations
 
-from .errors import BudgetError
+from itertools import chain, count
+from operator import le, lshift
+
+from .errors import BudgetError, InputError
 
 Vec = tuple[int, ...]
 
@@ -82,49 +85,69 @@ def solve_system(columns: list[Vec], target: Vec, node_budget: int = 300_000
     return particular, homogeneous
 
 
-def _support(v: Vec) -> int:
-    m = 0
-    for i, x in enumerate(v):
-        if x:
-            m |= 1 << i
-    return m
-
-
 def solve_nonneg(columns: list[Vec], target: Vec) -> Vec | None:
-    """One solution of sum_j x_j col_j = target for NONNEGATIVE columns.
+    """One solution of sum_j x_j col_j = target over natural vectors, or
+    None; InputError for a negative entry.
 
-    Depth-first search with failure memoization; complete because columns are
-    nonnegative, so coefficients are bounded by the remaining target.  Not
-    cached here: callers cache per question (semilinear._in_span).
+    Depth-first search over the columns in order, each coefficient from 0
+    up, with failure memoization; complete because the columns are natural,
+    so every coefficient is bounded by the target.  Not cached here: callers
+    cache per question (semilinear._in_span).
+
+    Each vector is packed into one int, a field of `width` bits per
+    coordinate.  The remainder keeps the top bit of every field set as a
+    guard: the target fits below it, and a column no larger than the target
+    never borrows across a field, so subtracting it clears a guard exactly
+    when the remainder goes negative there.  A column larger than the target
+    somewhere, or zero, can only take 0 and is left out of the search; so is
+    a branch whose remainder is nonzero in a field no column left can pay.
     """
+    if min(chain(target, *columns), default=0) < 0:
+        raise InputError("solve_nonneg takes natural vectors")
     q = len(columns)
-    if any(t < 0 for t in target):
-        return None
-    # support of columns j.. ; coordinates of the remainder outside it can
-    # never be paid for, so such branches fail immediately
-    suffix_support = [0] * (q + 1)
-    for j in range(q - 1, -1, -1):
-        suffix_support[j] = suffix_support[j + 1] | _support(columns[j])
-    dead: set[tuple[int, Vec]] = set()
+    if not any(target):
+        return (0,) * q
+    width = max(target).bit_length() + 1
+    shifts = range(0, width * len(target), width)
+    ones = ((1 << width * len(target)) - 1) // ((1 << width) - 1)
+    guards = ones << (width - 1)
+    live = [j for j, col in enumerate(columns)
+            if any(col) and all(map(le, col, target))]
+    packed = [sum(map(lshift, columns[j], shifts)) for j in live]
+    n = len(live)
+    # suffix[k]: the guard bits, and every bit of the fields in which some
+    # column k.. is nonzero; suffix[n], the guards alone, fails every
+    # nonzero remainder
+    suffix = [guards] * (n + 1)
+    seen = 0
+    for k in range(n - 1, -1, -1):
+        seen |= packed[k]
+        # adding 2^(width-1) - 1 to a field reaches its top bit iff it is
+        # nonzero, and never carries out of it
+        top = (seen + guards - ones) & guards
+        suffix[k] = guards | (top - (top >> (width - 1)))
+    dead: set[tuple[int, int]] = set()
 
-    def rec(j: int, rest: Vec) -> tuple[int, ...] | None:
-        if not any(rest):
-            return (0,) * (q - j)
-        if j == q or _support(rest) & ~suffix_support[j]:
+    def rec(k: int, rest: int) -> tuple[int, ...] | None:
+        if rest == guards:
+            return (0,) * (n - k)
+        if rest & ~suffix[k] or (k, rest) in dead:
             return None
-        if (j, rest) in dead:
-            return None
-        col = columns[j]
-        bound = min((r // c for r, c in zip(rest, col) if c > 0), default=None)
-        if bound is None:  # zero column contributes nothing
-            tail = rec(j + 1, rest)
-            return None if tail is None else (0,) + tail
-        for k in range(bound + 1):
-            reduced = tuple(r - k * c for r, c in zip(rest, col))
-            tail = rec(j + 1, reduced)
+        key, col = (k, rest), packed[k]
+        for x in count():
+            tail = rec(k + 1, rest)
             if tail is not None:
-                return (k,) + tail
-        dead.add((j, rest))
+                return (x,) + tail
+            rest -= col
+            if rest & guards != guards:
+                break
+        dead.add(key)
         return None
 
-    return rec(0, tuple(target))
+    found = rec(0, guards | sum(map(lshift, target, shifts)))
+    if found is None:
+        return None
+    out = [0] * q
+    for j, x in zip(live, found):
+        out[j] = x
+    return tuple(out)

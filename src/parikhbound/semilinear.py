@@ -10,13 +10,13 @@ constants always have witness words in the language.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import count
-from operator import add, or_, sub
+from itertools import chain, count
+from operator import add, attrgetter, ge, itemgetter, or_, sub
 
 from . import diophantine
-from .diophantine import _support
 from .errors import BudgetError, InputError, SoundnessError
 from .grammar import Cfg, to_cnf, trim
 from .symbols import Word
@@ -24,17 +24,33 @@ from .symbols import Word
 Vec = tuple[int, ...]
 
 
-class _Gens:
-    """A period set interned by _gens: reduced periods and their support
-    mask.  It hashes by identity, so caches keyed on it hash no tuples; after
-    an eviction two of them may stand for one period set, and such a cache
-    then misses but never answers wrongly."""
+def _support(v: Vec) -> int:
+    """The mask of v's nonzero coordinates."""
+    m = 0
+    for i, x in enumerate(v):
+        if x:
+            m |= 1 << i
+    return m
 
-    __slots__ = ("periods", "mask")
+
+class _Gens:
+    """A period set interned by _gens: reduced periods, their support mask,
+    and ``off``, which maps a vector to its coordinates outside the mask
+    (all of them when there is no period), so that two vectors are compared
+    there without building a mask.  It hashes by identity, so caches keyed
+    on it hash no tuples; after an eviction two of them may stand for one
+    period set, and such a cache then misses but never answers wrongly."""
+
+    __slots__ = ("periods", "mask", "off")
 
     def __init__(self, periods: tuple[Vec, ...]):
         self.periods = periods
         self.mask = reduce(or_, map(_support, periods), 0)
+        if not periods:
+            self.off = tuple
+        else:
+            off = [i for i in range(len(periods[0])) if not self.mask >> i & 1]
+            self.off = itemgetter(*off) if off else itemgetter(slice(0))
 
 
 @lru_cache(maxsize=1 << 14)
@@ -90,6 +106,8 @@ class LinearSet:
     def __post_init__(self):
         if any(c < 0 for c in self.constant):
             raise InputError("linear sets live in the nonnegative orthant")
+        if any(len(p) != self.dim for p in self.periods):
+            raise InputError("a period of another dimension than the constant")
         self._set_gens(_gens(tuple(sorted({p for p in self.periods
                                            if any(p)}))),
                        sum(self.constant),
@@ -259,14 +277,15 @@ def _lin_subsumed(a: LinearSet, b: LinearSet) -> bool:
 
     a is in b iff span(a.periods) is in span(b.periods), cached per pair of
     period sets, and the gap a.constant - b.constant is in span(b.periods):
-    natural and on b's period directions, which is tested before a search."""
+    natural and zero off b's period directions, which is tested before a
+    search."""
     if a._sub_sig & ~b._sub_sig or a._csum < b._csum or \
        not _spans_within(a._gens, b._gens):
         return False
-    gap = tuple(map(sub, a.constant, b.constant))
-    if min(gap, default=0) < 0 or _support(gap) & ~b._pmask:
+    gens, ac, bc = b._gens, a.constant, b.constant
+    if gens.off(ac) != gens.off(bc) or not all(map(ge, ac, bc)):
         return False
-    return not any(gap) or _in_span(b._gens, gap)
+    return ac == bc or _in_span(gens, tuple(map(sub, ac, bc)))
 
 
 def _merge_pair(a: LinearSet, b: LinearSet) -> LinearSet | None:
@@ -278,10 +297,18 @@ def _merge_pair(a: LinearSet, b: LinearSet) -> LinearSet | None:
     if a._csum >= b._csum or a._pmask & ~b._pmask or \
        not _spans_within(a._gens, b._gens):
         return None  # d must be nonzero; span(a.periods) must fit in b's
+    off = b._gens.off
+    if off(a.constant) != off(b.constant):
+        return None  # d must lie in b's directions
     d = tuple(map(sub, b.constant, a.constant))
-    dmask = _support(d)
-    if min(d) < 0 or dmask & ~b._pmask or b._pmask & ~(a._pmask | dmask):
-        return None  # d must be natural and in b's directions, which a and d span
+    if min(d) < 0:
+        return None
+    extra = b._pmask & ~a._pmask
+    while extra:  # b's directions that a lacks must be d's
+        low = extra & -extra
+        if not d[low.bit_length() - 1]:
+            return None
+        extra ^= low
     gens = _merge_search(a._gens, b._gens, d)
     if gens is None:
         return None
@@ -306,10 +333,30 @@ def _merge_search(ga: _Gens, gb: _Gens, d: Vec) -> _Gens | None:
     return None
 
 
+def _lin_key(c: LinearSet) -> tuple:
+    return (c._csum, c.constant, -len(c.periods), c.periods)
+
+
 def _prune_key(cw) -> tuple:
     """The scan order of _prune_pairs on (component, payload) pairs."""
-    c = cw[0]
-    return (c._csum, c.constant, -len(c.periods), c.periods)
+    return _lin_key(cw[0])
+
+
+class _Entry:
+    """A component in _prune_pairs: its payload and group, the merge
+    generation that made it (0: an input), and the generation by which it
+    has been tried as the first of a merge pair against every later
+    component (-1: not yet)."""
+
+    __slots__ = ("comp", "payload", "group", "born", "scanned", "key")
+
+    def __init__(self, comp: LinearSet, payload, group: int, born: int = 0):
+        self.comp, self.payload, self.group = comp, payload, group
+        self.born, self.scanned = born, -1
+        self.key = _lin_key(comp)
+
+
+_entry_key = attrgetter("key")
 
 
 def _prune_pairs(pairs: list, group: dict | None = None) -> list:
@@ -322,23 +369,51 @@ def _prune_pairs(pairs: list, group: dict | None = None) -> list:
     subsumer has a pointwise-smaller constant, so it precedes its subsumees
     unless the constants are equal.  Equal constants come in one run, more
     periods first, and a kept component also drops the earlier ones of its
-    run that it contains: periods {(1,0)} span all of {(2,0),(3,0)}.
+    run that it contains: periods {(1,0)} span all of {(2,0),(3,0)}.  Then
+    the merge scan takes the kept components in order as a, each with the
+    later ones as b, and merges the first pair it can.
 
-    Support masks and constant weights reject most pairs before any call,
-    and the cached span containment of two period sets most of the rest
-    before any per-pair search.
+    Kept components sit in buckets by period set.  Both tests need the
+    first component's periods inside the second's span, so a bucket is
+    passed or skipped whole, on one mask test and one cached span
+    containment per period set asked about in this call.  Zero masks,
+    constant weights and groups reject most remaining pairs before a call.
 
     Lemma: for every ordered pair (a, b) of distinct components in the
-    result, _lin_subsumed(a, b) and _merge_pair(a, b) both fail.  The last
-    pass merged nothing, and its merge scan tried every pair (a, b) with a
-    before b; with b before a, a._csum >= b._csum fails _merge_pair.  Say
-    _lin_subsumed(a, b) held.  If the constants differ, b's weight is
-    smaller, so b was kept before a was scanned, and a would have been
-    dropped.  If they are equal, then either b came first, as before, or a
-    did and b dropped it from their run when b was kept.  The same argument
-    with a = b, as _lin_subsumed(a, a) holds, shows that no two components
-    of the result are equal.  Skipping tests that cannot succeed, as below,
-    changes nothing in this run.
+    result, _lin_subsumed(a, b) and _merge_pair(a, b) both fail.  It is
+    proved here for the loop that scans all from the start after each
+    merge, which gives the same result (see below).  Its last pass merged
+    nothing, so its merge scan tried every pair (a, b) with a before b; with
+    b before a, a._csum >= b._csum fails _merge_pair.  Say _lin_subsumed(a,
+    b) held.  If the constants differ, b's weight is smaller, so b was kept
+    before a was scanned, and a would have been dropped.  If they are equal,
+    then either b came first, as before, or a did and b dropped it from
+    their run when b was kept.  The same argument with a = b, as
+    _lin_subsumed(a, a) holds, shows that no two components of the result
+    are equal.  Skipping tests that cannot succeed, as below, changes
+    nothing in this run.
+
+    A merge of a and b into m neither restarts the scans nor rescans: it
+    removes a, b and every kept component that m subsumes, inserts m at its
+    place in the order, and the merge scan goes on from the first component,
+    testing only the pairs not tested yet.  That is a pair with m, or one
+    whose first component has not been scanned (``born`` and ``scanned``
+    tell).  This gives what scanning all from the start after each merge
+    gives (tests/helpers.reference_prune_pairs):
+    - Every test is pure, so a pair of unchanged components that failed
+      fails again, in either scan.
+    - m is never subsumed.  _lin_subsumed(m, d) implies _lin_subsumed(a, d)
+      when the span searches are complete: the constants are equal, a's
+      support and periods lie within m's, and span(a.periods) is inside
+      span(m.periods), which lies inside span(d.periods).  Since a and d
+      were both kept, that test failed, or was skipped because both come
+      from one pruned input, where it fails by the lemma.
+    - So the subsumption scan from the start keeps every component it kept
+      before but a, b and those m subsumes, and keeps m: before m in the
+      order, only components of m's constant can be subsumed by m, and m
+      drops them from its run; after m, m subsumes exactly those it drops.
+    - The merge scan from the start then meets the untested pairs in the
+      order this scan tests them, and stops at the same first merge.
 
     Both tests read only the difference of the two constants and the two
     period sets; the zero bits of _sub_sig only reject pairs whose gap is
@@ -353,46 +428,97 @@ def _prune_pairs(pairs: list, group: dict | None = None) -> list:
     """
     group = group or {}
     own = count(-1, -1)
-    seen = set()
-    comps = []
+    payload: dict[LinearSet, object] = {}
     for l, w in pairs:
-        if l not in seen:
-            seen.add(l)
-            comps.append((l, w, group[l] if l in group else next(own)))
-    while True:
-        comps.sort(key=_prune_key)
-        kept: list = []
-        for c, w, g in comps:
+        payload.setdefault(l, w)
+    kept: list[_Entry] = []
+    # kept entries by period set; a bucket lasts the whole call, and
+    # spanned[ga] holds the buckets whose period set spans ga's periods
+    buckets: dict[_Gens, list[_Entry]] = {}
+    spanned: dict[_Gens, list[list[_Entry]]] = {}
+    fresh: list[_Entry] = []  # the merged entries among the kept
+
+    def within(ga: _Gens, gb: _Gens) -> bool:
+        return not ga.mask & ~gb.mask and _spans_within(ga, gb)
+
+    def spanning(ga: _Gens):
+        """The kept entries whose periods span every period of ga."""
+        lists = spanned.get(ga)
+        if lists is None:
+            lists = spanned[ga] = [members for gb, members in buckets.items()
+                                   if within(ga, gb)]
+        return chain.from_iterable(lists)
+
+    def keep(e: _Entry, at: int) -> None:
+        kept.insert(at, e)
+        gens = e.comp._gens
+        members = buckets.get(gens)
+        if members is None:
+            members = buckets[gens] = []
+            for ga, lists in spanned.items():
+                if within(ga, gens):
+                    lists.append(members)
+        members.append(e)
+
+    def drop(e: _Entry) -> None:
+        kept.remove(e)
+        buckets[e.comp._gens].remove(e)
+        if e.born:
+            fresh.remove(e)
+
+    for c in sorted(payload, key=_lin_key):
+        g = group[c] if c in group else next(own)
+        zeros = c._zeros  # a subsumer's constant is zero where c's is
+        if any(d.group != g and not zeros & ~d.comp._zeros
+               and _lin_subsumed(c, d.comp) for d in spanning(c._gens)):
+            continue
+        run = len(kept)
+        while run and kept[run - 1].comp.constant == c.constant:
+            run -= 1
+        if run < len(kept):
             sig = c._sub_sig  # spares most pairs the call to _lin_subsumed
-            if any(e != g and not sig & ~d._sub_sig and _lin_subsumed(c, d)
-                   for d, _, e in kept):
-                continue
-            run = len(kept)
-            while run and kept[run - 1][0].constant == c.constant:
-                run -= 1
-            kept[run:] = [(d, v, e) for d, v, e in kept[run:]
-                          if e == g or d._sub_sig & ~sig
-                          or not _lin_subsumed(d, c)]
-            kept.append((c, w, g))
-        merged = False
-        for i in range(len(kept)):
-            if merged:
+            for d in [d for d in kept[run:] if d.group != g
+                      and not d.comp._sub_sig & ~sig
+                      and _lin_subsumed(d.comp, c)]:
+                drop(d)
+        keep(_Entry(c, payload[c], g), len(kept))
+
+    generation = 0
+    i = 0
+    while i < len(kept):
+        a = kept[i]
+        c = a.comp
+        pool = spanning(c._gens) if a.scanned < 0 else \
+            [b for b in fresh if b.born > a.scanned]
+        # _merge_pair's first rejects, inline: b's greater weight puts it
+        # after a, and b zero where a is not makes d negative somewhere.
+        # Nor can b share a's period set: the merge needs d in span(b's
+        # periods) = span(a's), and then _lin_subsumed(b, a) would hold.
+        tried = [b for b in pool if b.group != a.group
+                 and c._csum < b.comp._csum and not b.comp._zeros & ~c._zeros
+                 and b.comp._gens is not c._gens]
+        tried.sort(key=_entry_key)
+        for b in tried:
+            m = _merge_pair(c, b.comp)
+            if m is not None:
                 break
-            a, _, ga = kept[i]
-            for j in range(i + 1, len(kept)):
-                b, _, gb = kept[j]  # _merge_pair's first rejects, inline
-                if ga == gb or a._csum >= b._csum or a._pmask & ~b._pmask \
-                        or b._zeros & ~a._zeros:  # else d < 0 somewhere
-                    continue
-                m = _merge_pair(a, b)
-                if m is not None:
-                    del kept[j]
-                    kept[i] = (m, kept[i][1], next(own))
-                    merged = True
-                    break
-        if not merged:
-            return [(c, w) for c, w, _ in kept]
-        comps = kept
+        else:
+            a.scanned = generation
+            i += 1
+            continue
+        generation += 1
+        for d in (a, b):
+            drop(d)
+        merged = _Entry(m, a.payload, next(own), generation)
+        for d in [d for gens, members in buckets.items()
+                  if within(gens, m._gens) for d in members
+                  if not d.comp._sub_sig & ~m._sub_sig
+                  and _lin_subsumed(d.comp, m)]:
+            drop(d)
+        keep(merged, bisect(kept, merged.key, key=_entry_key))
+        fresh.append(merged)
+        i = 0
+    return [(e.comp, e.payload) for e in kept]
 
 
 @lru_cache(maxsize=1 << 8)
@@ -571,6 +697,9 @@ def sl_to_text(s: SemilinearSet) -> str:
 
 
 def sl_from_text(text: str, dim: int | None = None) -> SemilinearSet:
+    """The set sl_to_text wrote.  Its dimension is ``dim`` when given, else
+    that of the first component; InputError for a component of another
+    dimension."""
     import re
     comps = []
     for line in text.splitlines():
@@ -587,9 +716,9 @@ def sl_from_text(text: str, dim: int | None = None) -> SemilinearSet:
         periods = [tuple(int(x) for x in grp.split(",") if x.strip())
                    for grp in re.findall(r"\(([0-9,\s]*)\)", period_part)]
         comps.append(LinearSet(const, tuple(periods)))
-    if not comps:
-        return sl_empty(dim if dim is not None else 0)
-    return SemilinearSet(len(comps[0].constant), tuple(comps))
+    if dim is None:
+        dim = len(comps[0].constant) if comps else 0
+    return SemilinearSet(dim, tuple(comps))
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,46 @@ def reference_chain_count(image) -> int:
     return len(chains)
 
 
+def reference_solve_nonneg(columns, target):
+    """``solve_nonneg`` as a search on tuples, before vectors were packed:
+    the same depth-first order over the columns, each coefficient from 0
+    up to the remainder's bound, with a failure memo and the prune of a
+    remainder nonzero where no later column is."""
+    q = len(columns)
+    if any(t < 0 for t in target):
+        return None
+
+    def support(v):
+        return sum(1 << i for i, x in enumerate(v) if x)
+
+    suffix_support = [0] * (q + 1)
+    for j in range(q - 1, -1, -1):
+        suffix_support[j] = suffix_support[j + 1] | support(columns[j])
+    dead = set()
+
+    def rec(j, rest):
+        if not any(rest):
+            return (0,) * (q - j)
+        if j == q or support(rest) & ~suffix_support[j]:
+            return None
+        if (j, rest) in dead:
+            return None
+        col = columns[j]
+        bound = min((r // c for r, c in zip(rest, col) if c > 0), default=None)
+        if bound is None:  # zero column contributes nothing
+            tail = rec(j + 1, rest)
+            return None if tail is None else (0,) + tail
+        for k in range(bound + 1):
+            reduced = tuple(r - k * c for r, c in zip(rest, col))
+            tail = rec(j + 1, reduced)
+            if tail is not None:
+                return (k,) + tail
+        dead.add((j, rest))
+        return None
+
+    return rec(0, tuple(target))
+
+
 def reference_lin_subsumed(a, b) -> bool:
     """``_lin_subsumed`` by its definition, without the rejects before any
     search: a's constant lies in b, and b's periods span each of a's."""

@@ -2,10 +2,12 @@ import time
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parikhbound import BudgetError, linear_set, sl_intersection_witness
+from helpers import reference_solve_nonneg
+from parikhbound import (BudgetError, InputError, linear_set,
+                         sl_intersection_witness)
 from parikhbound.diophantine import (minimal_homogeneous, solve_nonneg,
                                      solve_system)
 from parikhbound.semilinear import SemilinearSet
@@ -86,6 +88,70 @@ def test_solve_nonneg_matches_brute_force(columns, target):
         assert not brute
     else:
         assert apply_cols(columns, got) == target
+
+
+# entries at 2^k - 1 and 2^k change the packed field width
+ENTRY = st.sampled_from((0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32)) | \
+    st.integers(0, 40)
+
+
+@st.composite
+def natural_systems(draw):
+    """Columns and a target in 1 to 4 dimensions, target entries 0..40.
+    Columns are small, zero, or drawn like the target, so some exceed it;
+    half the targets are natural combinations of the columns, capped at
+    40, so that solutions are common."""
+    dim = draw(st.integers(1, 4))
+    small = st.tuples(*[st.integers(0, 3)] * dim)
+    columns = draw(st.lists(small | st.tuples(*[ENTRY] * dim)
+                            | st.just((0,) * dim), max_size=6))
+    if columns and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(0, 5), min_size=len(columns),
+                               max_size=len(columns)))
+        target = tuple(min(40, sum(k * col[i]
+                                   for k, col in zip(coeffs, columns)))
+                       for i in range(dim))
+    else:
+        target = draw(st.tuples(*[ENTRY] * dim))
+    return columns, target
+
+
+@settings(max_examples=500, deadline=None)
+@given(natural_systems())
+@example(([(1,), (2,)], (7,)))        # 3 value bits
+@example(([(1,), (3,)], (8,)))        # 4 value bits
+@example(([(16, 1), (15, 0)], (31, 1)))
+@example(([(0, 0), (41, 0), (1, 1), (0, 2)], (3, 5)))
+@example(([(5, 0), (0, 5)], (40, 0)))
+def test_solve_nonneg_matches_reference_dfs(system):
+    """The packed search returns the tuple of the plain depth-first search
+    on tuples."""
+    columns, target = system
+    got = solve_nonneg(columns, target)
+    assert got == reference_solve_nonneg(columns, target)
+    if got is not None:
+        assert len(got) == len(columns)
+        assert tuple(sum(k * col[i] for k, col in zip(got, columns))
+                     for i in range(len(target))) == target
+
+
+@settings(max_examples=100, deadline=None)
+@given(natural_systems(), st.data())
+def test_solve_nonneg_raises_on_a_negative_entry(system, data):
+    columns, target = system
+    vectors = [list(target)] + [list(col) for col in columns]
+    vector = data.draw(st.sampled_from(vectors))
+    vector[data.draw(st.integers(0, len(target) - 1))] = \
+        -data.draw(st.integers(1, 40))
+    with pytest.raises(InputError):
+        solve_nonneg([tuple(v) for v in vectors[1:]], tuple(vectors[0]))
+
+
+def test_solve_nonneg_rejects_negative_entries():
+    for columns, target in (([(1, -1)], (1, 0)), ([(2, 0)], (-1, 0)),
+                            ([(-1,)], (0,)), ([], (-3,))):
+        with pytest.raises(InputError):
+            solve_nonneg(columns, target)
 
 
 def test_solve_system_node_budget():

@@ -3,6 +3,7 @@ from itertools import product
 from operator import add
 from unittest.mock import patch
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,11 +11,11 @@ from helpers import (CORE_CORPUS, G_EX, expand_semilinear, full_corpus,
                      naive_lin_member, parikh_vectors, reference_lin_subsumed,
                      reference_merge_pair, reference_minkowski_pairs,
                      reference_prune_pairs)
-from parikhbound import (LinearSet, SemilinearSet, cyk_membership,
-                         linear_set, parikh_image, parikh_semilinear,
-                         parikh_of_word, sl_from_text, sl_intersect,
-                         sl_intersection_witness, sl_membership, sl_to_text,
-                         trim, witness_for_vector)
+from parikhbound import (InputError, LinearSet, SemilinearSet,
+                         cyk_membership, linear_set, parikh_image,
+                         parikh_semilinear, parikh_of_word, sl_from_text,
+                         sl_intersect, sl_intersection_witness, sl_membership,
+                         sl_to_text, trim, witness_for_vector)
 from parikhbound import semilinear
 from parikhbound.diophantine import solve_nonneg
 from parikhbound.pdn import acceptor_to_cfg, encode_to_acceptors, family_instance
@@ -42,6 +43,11 @@ def test_linear_set_canonicalizes_periods():
     # a period derivable from the others is dropped; zero periods are dropped
     l = linear_set((0, 0), ((1, 0), (0, 1), (1, 1), (0, 0)))
     assert set(l.periods) == {(1, 0), (0, 1)}
+
+
+def test_linear_set_rejects_periods_of_another_dimension():
+    with pytest.raises(InputError):
+        linear_set((1, 2), ((1,),))
 
 
 def test_membership_fixture():
@@ -303,7 +309,17 @@ def test_parikh_image_witnesses_are_members():
 def test_sl_text_round_trip():
     s = SemilinearSet(2, (linear_set((1, 0), ((1, 1),)), linear_set((2, 2))))
     assert sl_from_text(sl_to_text(s)) == s
+    assert sl_from_text(sl_to_text(s), dim=2) == s
     assert sl_from_text(sl_to_text(SemilinearSet(2, ())), dim=2).is_empty()
+
+
+def test_sl_text_rejects_a_dimension_mismatch():
+    for text, dim in (("c = (1,2); periods =", 3),
+                      ("c = (1,2); periods = (1,1)", 1),
+                      ("c = (1,2); periods =\nc = (1); periods =", None),
+                      ("c = (1,2); periods = (1)", None)):
+        with pytest.raises(InputError):
+            sl_from_text(text, dim=dim)
 
 
 # Pruned sets of up to six components; unions of two of them share
@@ -369,6 +385,99 @@ def test_prune_of_a_union_tests_only_cross_pairs(a, b):
         # a merged component is new even if it equals one of the part's
         own = set(part.components) - shared - merged
         assert not [(x, y) for x, y in tested if x in own and y in own]
+
+
+E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+# 0 and e1 + N e1 merge into N e1; with e2 + N{e1, e2} into N{e1, e2}, which
+# then contains the kept 2 e1 + N e2; with e3 + N{e1, e2, e3} into the
+# whole octant
+CASCADE = [linear_set((0, 0, 0)), linear_set(E1, (E1,)),
+           linear_set(E2, (E1, E2)), linear_set(E3, (E1, E2, E3)),
+           linear_set((2, 0, 0), (E2,))]
+
+
+@st.composite
+def lin3_lists(draw):
+    """Up to ten 3-D linear sets.  A new set is often an earlier one
+    shifted by some d with d as an extra period, so that merges chain, or a
+    subset of an earlier one, so that subsumptions occur; periods lie along
+    axes half the time."""
+    vec = st.tuples(*[st.integers(0, 2)] * 3)
+    axis = st.sampled_from((E1, E2, E3, (2, 0, 0), (0, 1, 1)))
+    comps: list = []
+    for _ in range(draw(st.integers(0, 10))):
+        mode = draw(st.sampled_from(("free", "shifted", "inside"))
+                    if comps else st.just("free"))
+        if mode == "free":
+            comps.append(linear_set(draw(vec),
+                                    draw(st.lists(axis | vec, max_size=2))))
+            continue
+        base = draw(st.sampled_from(comps))
+        if mode == "shifted":
+            d = draw(vec)
+            comps.append(linear_set(tuple(map(add, base.constant, d)),
+                                    [*base.periods, d]))
+        else:
+            point = base.constant
+            for p in base.periods:
+                k = draw(st.integers(0, 2))
+                point = tuple(x + k * y for x, y in zip(point, p))
+            own = draw(st.lists(st.sampled_from(base.periods), max_size=2)) \
+                if base.periods else []
+            comps.append(linear_set(point, own))
+    return comps
+
+
+@settings(max_examples=300, deadline=None)
+@given(lin3_lists())
+@example(CASCADE)
+def test_prune_matches_the_restarting_reference(comps):
+    """Merging without a restart keeps what the reference keeps, payloads
+    and order included: the first payload of a component, and a's payload
+    for a merge of a and b."""
+    pairs = [(c, i) for i, c in enumerate(comps)]
+    expected = reference_prune_pairs(pairs)
+    assert _prune_pairs(pairs) == expected
+    got = prune.__wrapped__(SemilinearSet(3, tuple(comps)))
+    assert got.components == \
+        SemilinearSet(3, tuple(c for c, _ in expected)).components
+
+
+def test_a_cascade_of_merges_drops_what_a_merge_subsumes():
+    merges = []
+
+    def merge(x, y):
+        m = _merge_pair(x, y)
+        if m is not None:
+            merges.append(m)
+        return m
+
+    with patch.object(semilinear, "_merge_pair", merge):
+        got = _prune_pairs([(c, None) for c in CASCADE])
+    assert got == [(linear_set((0, 0, 0), (E1, E2, E3)), None)]
+    assert len(merges) == 3
+    # the second merge subsumes the last input, which nothing else does
+    assert _lin_subsumed(CASCADE[-1], merges[1])
+    assert not any(_lin_subsumed(CASCADE[-1], c) for c in CASCADE[:-1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(lin3_lists())
+@example(CASCADE)
+# (0,0,0) fails with every later set, then (0,0,1) merges with the last; a
+# scan from the start would try the pairs of (0,0,0) again
+@example([linear_set((0, 0, 1)), linear_set((0, 0, 3), ((0, 0, 2),)),
+          linear_set((0, 0, 0)), linear_set((0, 1, 0))])
+def test_prune_tests_no_merge_pair_twice(comps):
+    tested = []
+
+    def merge(x, y):
+        tested.append((x, y))
+        return _merge_pair(x, y)
+
+    with patch.object(semilinear, "_merge_pair", merge):
+        _prune_pairs([(c, None) for c in comps])
+    assert len(tested) == len(set(tested))
 
 
 @settings(max_examples=200, deadline=None)
