@@ -148,8 +148,8 @@ def cmd_oracle_verify(args) -> int:
 
 
 def _length(text: str) -> int:
-    """An enumeration length, rejected by the parser when negative, before
-    any grammar is read."""
+    """An enumeration length, round count or search depth, rejected by the
+    parser when negative, before any input is read."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, not {text!r}")
     return int(text)
@@ -185,15 +185,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("grammars", nargs="+")
     p.add_argument("--bounded", metavar="FILE",
                    help="decide only within this elementary bounded language")
-    p.add_argument("--max-rounds", type=int, default=5)
+    p.add_argument("--max-rounds", type=_length, default=5)
     p.set_defaults(func=cmd_check_intersection)
 
     p = sub.add_parser("reach-pdn", help="pushdown network reachability")
     p.add_argument("network", nargs="?")
     p.add_argument("--family", type=int, metavar="K",
                    help="use the built-in two-thread family instance")
-    p.add_argument("--max-rounds", type=int, default=5)
-    p.add_argument("--oracle-depth", type=int, default=0, metavar="D",
+    p.add_argument("--max-rounds", type=_length, default=5)
+    p.add_argument("--oracle-depth", type=_length, default=0, metavar="D",
                    help="run the bounded breadth-first oracle instead")
     p.set_defaults(func=cmd_reach_pdn)
 

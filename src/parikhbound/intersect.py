@@ -1,8 +1,8 @@
 """Semi-decision procedure for emptiness of a context-free intersection.
 
 Each round: (1) look for one vector common to the Parikh images of the
-current languages, component pair by component pair (a completed
-Diophantine search proves a pair empty); if the images are proved disjoint,
+current languages, component tuple by component tuple (a completed
+Diophantine search proves a tuple empty); if the images are proved disjoint,
 the intersection is empty, and a common vector yields candidate witness
 words; (2) otherwise build a Parikh-equivalent bounded language B for each
 current language, concatenate them, and decide intersection inside B
@@ -22,8 +22,7 @@ from .boundedgen import parikh_equivalent_bounded
 from .errors import BudgetError, InputError, SoundnessError
 from .grammar import (Cfg, block_projection, cyk_membership, product_with_dfa,
                       simplify, trim, union_alphabets, with_alphabet)
-from .semilinear import (parikh_semilinear, sl_intersect,
-                         sl_intersection_witness, sl_membership,
+from .semilinear import (parikh_semilinear, sl_intersection_witness,
                          witness_for_vector)
 from .symbols import ElementaryBounded, Word, eb, eb_complement_dfa, eb_concat
 
@@ -55,27 +54,6 @@ class IntersectionResult:
         return {"nonempty": 0, "empty": 1, "unknown": 2}[self.status]
 
 
-def _common_vector(images) -> tuple | None:
-    """Some vector in every image, None when they are proved disjoint;
-    BudgetError when that is undecided.  All images but the last are
-    intersected in full, and only one vector is sought against the last.
-    When that full intersection runs out of budget, a component constant
-    that lies in every image still answers."""
-    common = images[0]
-    if len(images) == 1:
-        return min((c.constant for c in common.components), default=None)
-    try:
-        for img in images[1:-1]:
-            common = sl_intersect(common, img)
-    except BudgetError:
-        constants = {c.constant for img in images for c in img.components}
-        for v in sorted(constants, key=lambda v: (sum(v), v)):
-            if all(sl_membership(img, v) for img in images):
-                return v
-        raise
-    return sl_intersection_witness(common, images[-1])
-
-
 def intersect_modulo(grammars: list[Cfg], b: ElementaryBounded) -> Word | None:
     """A word in (intersection of all L_i) intersect B, or None if there is none.
 
@@ -97,7 +75,7 @@ def intersect_modulo(grammars: list[Cfg], b: ElementaryBounded) -> Word | None:
         if image.is_empty():
             return None
         images.append(image)
-    vector = _common_vector(images)
+    vector = sl_intersection_witness(*images)
     if vector is None:
         return None
     witness: Word = ()
@@ -133,7 +111,7 @@ def semi_algorithm(instance: IntersectionInstance, max_rounds: int = 5,
             images = None
         if images is not None:
             try:
-                vector = _common_vector(images)
+                vector = sl_intersection_witness(*images)
                 if vector is None:
                     return IntersectionResult("empty", rounds=rnd)
             except BudgetError:

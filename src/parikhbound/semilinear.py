@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, count
+from itertools import chain, count, product
 from operator import add, attrgetter, ge, itemgetter, or_, sub
 
 from . import diophantine
@@ -589,12 +589,20 @@ def _pair_system(a: LinearSet, b: LinearSet) -> tuple[list[Vec], Vec]:
     return columns, target
 
 
+# Node budget of each Diophantine search in _lin_intersect.  A completed
+# search finds the same solutions under any budget, so a smaller first try
+# would only add work when it runs out.
+SEARCH_NODES = 300_000
+
+
 def _lin_intersect(a: LinearSet, b: LinearSet) -> list[LinearSet]:
-    """Exact intersection of two linear sets via minimal Diophantine solutions."""
+    """Exact intersection of two linear sets via minimal Diophantine
+    solutions: one component per particular solution, based at its point."""
     columns, target = _pair_system(a, b)
     if not columns:
         return [a] if a.constant == b.constant else []
-    particular, homogeneous = diophantine.solve_system(columns, target)
+    particular, homogeneous = diophantine.solve_system(columns, target,
+                                                       SEARCH_NODES)
     na = len(a.periods)
     out = []
     for part in particular:
@@ -610,6 +618,9 @@ def _lin_intersect(a: LinearSet, b: LinearSet) -> list[LinearSet]:
 
 
 def sl_intersect(a: SemilinearSet, b: SemilinearSet) -> SemilinearSet:
+    """The exact intersection, pruned.  The procedure itself only asks for
+    one common vector (sl_intersection_witness); this is the exact API that
+    search is tested against."""
     if a.dim != b.dim:
         raise InputError("dimension mismatch in intersection")
     comps: list[LinearSet] = []
@@ -619,58 +630,52 @@ def sl_intersect(a: SemilinearSet, b: SemilinearSet) -> SemilinearSet:
     return prune(SemilinearSet(a.dim, tuple(comps)))
 
 
-# Node budget of the Diophantine search in _lin_common_vector.  A completed
-# search finds the same solutions under any budget, so a smaller first try
-# would only add work when it runs out.
-SEARCH_NODES = 300_000
-
-
-def _lin_common_vector(a: LinearSet, b: LinearSet) -> Vec | None:
-    """Some vector in both linear sets, or None when they are proved
+def _lin_common_vector(sets: tuple[LinearSet, ...]) -> Vec | None:
+    """Some vector in every linear set, or None when they are proved
     disjoint; BudgetError when neither is settled.
 
-    In order: a constant of one set that lies in the other; the complete
-    solution set of the pair's system.  A completed search with no
-    particular solution proves the pair disjoint."""
-    if lin_membership(b, a.constant):
-        return a.constant
-    if lin_membership(a, b.constant):
-        return b.constant
-    columns, target = _pair_system(a, b)
-    if not columns:
-        return None
-    particular, _ = diophantine.solve_system(columns, target, SEARCH_NODES)
-    if not particular:
-        return None
-    return min(_lin_point(a, part) for part in particular)
+    In order: a constant of one set that lies in all the others; the least
+    constant of their exact intersection, met one set at a time, so each
+    search has one row per coordinate (one system with a block of rows per
+    set outran any budget on a 2-D triple this settles in milliseconds).
+    A completed search with no particular solution proves them disjoint."""
+    for s in sets:
+        if all(lin_membership(t, s.constant) for t in sets):
+            return s.constant
+    meet = [sets[0]]
+    for s in sets[1:]:
+        meet = [m for x in meet for m in _lin_intersect(x, s)]
+    return min((m.constant for m in meet), default=None)
 
 
-def sl_intersection_witness(a: SemilinearSet, b: SemilinearSet) -> Vec | None:
-    """Some vector in both sets, or None when they are proved disjoint;
-    BudgetError when no component pair yields a vector and some pair is
+def sl_intersection_witness(*sets: SemilinearSet) -> Vec | None:
+    """Some vector in every set, or None when they are proved disjoint;
+    BudgetError when no component tuple yields a vector and some tuple is
     undecided.
 
-    Component pairs are tried one at a time, by the weight of the pointwise
-    maximum of their constants and then by the components themselves, so
-    the vector returned depends on the sets alone."""
-    if a.dim != b.dim:
+    Component tuples, one component of each set, are tried one at a time:
+    by the weight of the pointwise maximum of their constants, then by the
+    constants, then by the periods, so the vector returned depends on the
+    sets alone.  For one set that is its lightest constant."""
+    if not sets:
+        raise InputError("need at least one set to intersect")
+    if any(s.dim != sets[0].dim for s in sets):
         raise InputError("dimension mismatch in intersection")
 
-    def order(pair):
-        x, y = pair
-        top = sum(max(u, v) for u, v in zip(x.constant, y.constant))
-        return (top, x.constant, y.constant, x.periods, y.periods)
+    def order(combo):
+        constants = [c.constant for c in combo]
+        top = sum(map(max, zip(*constants)))
+        return (top, *constants, *(c.periods for c in combo))
 
     undecided = False
-    for x, y in sorted(((x, y) for x in a.components for y in b.components),
-                       key=order):
+    for combo in sorted(product(*(s.components for s in sets)), key=order):
         try:
-            v = _lin_common_vector(x, y)
+            v = _lin_common_vector(combo)
         except BudgetError:
             undecided = True
             continue
         if v is not None:
-            if not (sl_membership(a, v) and sl_membership(b, v)):
+            if not all(sl_membership(s, v) for s in sets):
                 raise SoundnessError(f"common vector {v} failed membership")
             return v
     if undecided:

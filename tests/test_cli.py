@@ -164,6 +164,19 @@ def test_check_intersection_empty(files, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "empty"
 
 
+def test_check_intersection_three_grammars(files, capsys):
+    g1 = files("g1.txt", ANBN_TEXT)
+    g2 = files("g2.txt", ABSTAR_TEXT)
+    g3 = files("g3.txt", "start X\nX -> X X | a b\n")
+    assert main(["--format", "json", "check-intersection", g1, g2, g3]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"status": "nonempty", "rounds": 1, "witness": "a b"}
+    g4 = files("g4.txt", A_PLUS_TEXT)
+    g5 = files("g5.txt", B_PLUS_TEXT)
+    assert main(["check-intersection", g1, g4, g5]) == 1
+    assert capsys.readouterr().out == "empty after 1 round(s)\n"
+
+
 def test_check_intersection_bounded_mode(files, capsys):
     g1 = files("g1.txt", ANBN_TEXT)
     g2 = files("g2.txt", ABSTAR_TEXT)
@@ -213,6 +226,20 @@ def test_negative_enumeration_length_exits_2(files, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert not captured.out
     assert captured.err.count("must be an integer >= 0") == 4
+
+
+def test_negative_rounds_and_depth_exit_2(files, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the input was read before the count check")
+    monkeypatch.setattr(cli, "family_instance", never)
+    monkeypatch.setattr(cli, "_read", never)
+    g = files("g.txt", ANBN_TEXT)
+    assert main(["reach-pdn", "--family", "1", "--max-rounds", "-3"]) == 2
+    assert main(["reach-pdn", "--family", "1", "--oracle-depth", "-1"]) == 2
+    assert main(["check-intersection", g, g, "--max-rounds", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.count("must be an integer >= 0") == 3
 
 
 def test_bad_input_exits_2(files, capsys):

@@ -8,7 +8,8 @@ from parikhbound import (BudgetError, InputError, IntersectionInstance,
 from parikhbound import intersect, semilinear
 from parikhbound.grammar import cfg
 from parikhbound.intersect import refine
-from parikhbound.semilinear import parikh_semilinear
+from parikhbound.semilinear import (parikh_semilinear,
+                                    sl_intersection_witness)
 from parikhbound.symbols import eb_to_nfa
 
 AB_STAR = cfg({"T"}, ["a", "b"],
@@ -152,26 +153,21 @@ def test_zero_node_budget_gives_unknown_not_empty(monkeypatch):
 
 
 def test_three_images_fall_back_to_a_shared_constant(monkeypatch):
-    # the full intersection of the first two images runs out of budget;
-    # (2, 1), the image of "a a b", is a constant of every image and still
-    # answers
+    # with no node budget every search runs out at once; (2, 1), the image
+    # of "a a b", is a constant of every image and still answers
     grammars = [parse_grammar("X -> a a b | a X a"),
                 parse_grammar("Y -> a a b | b Y b"),
                 parse_grammar("Z -> a a b | a a a b Z")]
     images = [parikh_semilinear(g) for g in grammars]
-
-    def exhausted(a, b):
-        raise BudgetError("Diophantine search budget exhausted")
-
-    monkeypatch.setattr(intersect, "sl_intersect", exhausted)
-    assert intersect._common_vector(images) == (2, 1)
+    _zero_node_budgets(monkeypatch)
+    assert sl_intersection_witness(*images) == (2, 1)
     result = semi_algorithm(IntersectionInstance(tuple(grammars)))
     assert result.status == "nonempty"
     assert all(cyk_membership(g, result.witness) for g in grammars)
-    # with no shared constant the fold's BudgetError still propagates
+    # with no shared constant the search's BudgetError propagates
     images[2] = parikh_semilinear(parse_grammar("Z -> a a a b Z | a"))
     with pytest.raises(BudgetError):
-        intersect._common_vector(images)
+        sl_intersection_witness(*images)
 
 
 def test_dyck_against_short_words_is_empty():

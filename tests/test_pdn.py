@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import Budget
 from parikhbound import (GlobalConfiguration, InputError, PushdownNetwork,
                          cyk_membership, enumerate_words,
                          acceptor_to_cfg, encode_to_acceptors,
@@ -69,6 +70,25 @@ def test_reach_single_thread():
     wrong = GlobalConfiguration("g0", ((),))
     # popping Z forces g1, so g0 with an empty stack is unreachable
     assert reach(pdn, init, wrong).status == "empty"
+
+
+def test_reach_three_thread_drain():
+    # threads 1 and 2 pop A and B at g0; thread 3 pops C and moves to g1,
+    # after which nobody else can pop, so the three schedules must agree
+    # on thread 3 running last
+    pdn = PushdownNetwork(("g0", "g1"), ("A", "B", "C"),
+                          ((("g0", "A", "g0", ()),),
+                           (("g0", "B", "g0", ()),),
+                           (("g0", "C", "g1", ()),)))
+    init = GlobalConfiguration("g0", (("A",), ("B",), ("C",)))
+    target = GlobalConfiguration("g1", ((), (), ()))
+    assert pdn_reach_bounded(pdn, init, target, 3)
+    with Budget(30):
+        result = reach(pdn, init, target)
+    assert result.status == "nonempty" and result.rounds == 1
+    grammars = [trim(acceptor_to_cfg(a))
+                for a in encode_to_acceptors(pdn, init, target)]
+    assert all(cyk_membership(g, result.witness) for g in grammars)
 
 
 def test_family_oracle():

@@ -1,4 +1,5 @@
 import pickle
+from functools import reduce
 from itertools import product
 from operator import add
 from unittest.mock import patch
@@ -11,7 +12,7 @@ from helpers import (CORE_CORPUS, G_EX, expand_semilinear, full_corpus,
                      naive_lin_member, parikh_vectors, reference_lin_subsumed,
                      reference_merge_pair, reference_minkowski_pairs,
                      reference_prune_pairs)
-from parikhbound import (InputError, LinearSet, SemilinearSet,
+from parikhbound import (BudgetError, InputError, LinearSet, SemilinearSet,
                          cyk_membership, linear_set, parikh_image,
                          parikh_semilinear, parikh_of_word, sl_from_text,
                          sl_intersect, sl_intersection_witness, sl_membership,
@@ -272,6 +273,40 @@ def test_intersect_matches_membership(a, b):
     assert (w is None) == inter.is_empty()
     if w is not None:
         assert sl_membership(a, w) and sl_membership(b, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sl2, sl2, sl2)
+# one system stacking a block of rows per set ran past 600 s on this
+# triple; met one set at a time it takes milliseconds
+@example(SemilinearSet(2, (linear_set((0, 0), ((1, 0), (2, 1))),)),
+         SemilinearSet(2, (linear_set((2, 0), ((2, 1), (3, 2))),)),
+         SemilinearSet(2, (linear_set((3, 0), ((2, 1), (3, 2))),)))
+def test_witness_of_three_sets_matches_their_intersection(a, b, c):
+    sets = (a, b, c)
+    w = sl_intersection_witness(*sets)
+    if w is not None:
+        assert all(member_oracle(s, w) for s in sets)
+    try:
+        # the exact reference gets a smaller budget: on a few triples it
+        # would spend minutes running out of the full one
+        with patch.object(semilinear, "SEARCH_NODES", 20_000):
+            empty = reduce(sl_intersect, sets).is_empty()
+    except BudgetError:
+        # the reference decides nothing; the search above still answered
+        return
+    assert (w is None) == empty
+
+
+def test_intersection_witness_of_one_set_and_of_none():
+    with pytest.raises(InputError):
+        sl_intersection_witness()
+    with pytest.raises(InputError):
+        sl_intersection_witness(sl_singleton((1,)), sl_singleton((1, 0)))
+    # the lightest constant, not the lexicographically least
+    s = SemilinearSet(2, (linear_set((0, 3)), linear_set((1, 1), ((1, 0),))))
+    assert sl_intersection_witness(s) == (1, 1)
+    assert sl_intersection_witness(SemilinearSet(2, ())) is None
 
 
 def test_parikh_semilinear_on_corpus_sound_and_tight():
