@@ -31,54 +31,41 @@ def _geq(u: Vec, v: Vec) -> bool:
     return all(a >= b for a, b in zip(u, v))
 
 
-def minimal_homogeneous(columns: list[Vec], node_budget: int = 300_000,
-                        last_at_most_one: bool = False) -> list[Vec]:
-    """All minimal nonzero solutions of sum_j x_j * col_j = 0 over the
-    naturals; with last_at_most_one, only those with last coefficient 0 or 1,
-    and no candidate grows past 1 there.  Each of them is reached through
-    candidates below it, and none with a larger one lies below those."""
+def minimal_homogeneous(columns: list[Vec], node_budget: int = 300_000) -> list[Vec]:
+    """All minimal nonzero solutions of sum_j x_j * col_j = 0 over the naturals."""
     q = len(columns)
     if q == 0:
         return []
-    zero_val = (0,) * len(columns[0])
-    # a candidate is packed into one int, a field of `width` bits per
-    # column.  No coefficient exceeds the number of levels, which the budget
-    # bounds, so the top bit of every field is free as a guard: m <= x
-    # exactly when (x | guards) - m keeps every guard bit.
-    width = (node_budget + 1).bit_length() + 1
-    units = [1 << width * j for j in range(q)]
-    guards = sum(units) << (width - 1)
-    minimals: list[int] = []
-    frontier: dict[int, Vec] = dict(zip(units, columns))
+    dim = len(columns[0])
+    zero_val = (0,) * dim
+    minimals: list[Vec] = []
+    frontier: dict[Vec, Vec] = {}
+    for j in range(q):
+        x = tuple(1 if i == j else 0 for i in range(q))
+        frontier[x] = columns[j]
     nodes = 0
     while frontier:
-        next_frontier: dict[int, Vec] = {}
+        next_frontier: dict[Vec, Vec] = {}
         for x, val in frontier.items():
             nodes += 1
             if nodes > node_budget:
                 raise BudgetError("Diophantine search budget exhausted")
             if val == zero_val:
-                # no solution found so far equals x
-                xg = x | guards
-                if not any((xg - m) & guards == guards for m in minimals):
+                if not any(_geq(x, m) and x != m for m in minimals):
                     minimals.append(x)
                 continue
-            # the last field is the top one
-            for j in range(q - (last_at_most_one and x >= units[-1])):
+            for j in range(q):
                 if _dot(val, columns[j]) < 0:
-                    y = x + units[j]
+                    y = tuple(x[i] + (1 if i == j else 0) for i in range(q))
                     if y in next_frontier:
                         continue
-                    yg = y | guards
-                    if any((yg - m) & guards == guards for m in minimals):
+                    if any(_geq(y, m) for m in minimals):
                         continue
                     next_frontier[y] = _add(val, columns[j])
         frontier = next_frontier
-    field = (1 << width) - 1
-    found = [tuple(m >> width * j & field for j in range(q)) for m in minimals]
     # a later-found equal-weight solution can make an earlier one non-minimal
-    return [m for m in found
-            if not any(_geq(m, m2) and m != m2 for m2 in found)]
+    return [m for m in minimals
+            if not any(_geq(m, m2) and m != m2 for m2 in minimals)]
 
 
 def solve_system(columns: list[Vec], target: Vec, node_budget: int = 300_000
@@ -89,12 +76,11 @@ def solve_system(columns: list[Vec], target: Vec, node_budget: int = 300_000
     extended = list(columns) + [tuple(-t for t in target)]
     particular: list[Vec] = []
     homogeneous: list[Vec] = []
-    for m in minimal_homogeneous(extended, node_budget,
-                                 last_at_most_one=True):
+    for m in minimal_homogeneous(extended, node_budget):
         if m[-1] == 0:
             if any(m[:-1]):
                 homogeneous.append(m[:-1])
-        else:
+        elif m[-1] == 1:
             particular.append(m[:-1])
     return particular, homogeneous
 

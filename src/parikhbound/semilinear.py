@@ -589,32 +589,30 @@ def _pair_system(a: LinearSet, b: LinearSet) -> tuple[list[Vec], Vec]:
     return columns, target
 
 
-# Node budget of each Diophantine search in _lin_intersect.  A completed
+# Node budget of each Diophantine search on a pair system.  A completed
 # search finds the same solutions under any budget, so a smaller first try
 # would only add work when it runs out.
 SEARCH_NODES = 300_000
 
 
-def _lin_intersect(a: LinearSet, b: LinearSet) -> list[LinearSet]:
-    """Exact intersection of two linear sets via minimal Diophantine
-    solutions: one component per particular solution, based at its point."""
+def _pair_solutions(a: LinearSet, b: LinearSet) -> tuple[list[Vec], list[Vec]]:
+    """Particular and minimal homogeneous solutions of the pair system of a
+    and b; the coefficients of a's periods come first."""
     columns, target = _pair_system(a, b)
     if not columns:
-        return [a] if a.constant == b.constant else []
-    particular, homogeneous = diophantine.solve_system(columns, target,
-                                                       SEARCH_NODES)
-    na = len(a.periods)
-    out = []
-    for part in particular:
-        const = _lin_point(a, part)
-        periods = []
-        for h in homogeneous:
-            vec = tuple(sum(k * p[i] for k, p in zip(h[:na], a.periods))
-                        for i in range(a.dim))
-            if any(vec):
-                periods.append(vec)
-        out.append(LinearSet(const, tuple(periods)))
-    return out
+        return ([()] if a.constant == b.constant else []), []
+    return diophantine.solve_system(columns, target, SEARCH_NODES)
+
+
+def _lin_intersect(a: LinearSet, b: LinearSet) -> list[LinearSet]:
+    """Exact intersection of two linear sets via minimal Diophantine
+    solutions: one component per particular solution, based at its point,
+    with a's share of every homogeneous solution as periods (LinearSet
+    drops the zero ones)."""
+    particular, homogeneous = _pair_solutions(a, b)
+    periods = tuple(tuple(map(sub, _lin_point(a, h), a.constant))
+                    for h in homogeneous)
+    return [LinearSet(_lin_point(a, part), periods) for part in particular]
 
 
 def sl_intersect(a: SemilinearSet, b: SemilinearSet) -> SemilinearSet:
@@ -630,22 +628,37 @@ def sl_intersect(a: SemilinearSet, b: SemilinearSet) -> SemilinearSet:
     return prune(SemilinearSet(a.dim, tuple(comps)))
 
 
-def _lin_common_vector(sets: tuple[LinearSet, ...]) -> Vec | None:
+def _lin_meet(sets: tuple[LinearSet, ...], meets: dict) -> list[LinearSet]:
+    """Exact intersection of the linear sets, met one set at a time, so each
+    search has one row per coordinate.  meets holds the meet of every tuple
+    of two or more sets asked for so far, or None for one whose search ran
+    out of budget; such a tuple raises BudgetError again without a search."""
+    if len(sets) == 1:
+        return list(sets)
+    if sets not in meets:
+        meets[sets] = None  # stays when a search below raises
+        meets[sets] = [m for x in _lin_meet(sets[:-1], meets)
+                       for m in _lin_intersect(x, sets[-1])]
+    elif meets[sets] is None:
+        raise BudgetError("Diophantine search budget exhausted")
+    return meets[sets]
+
+
+def _lin_common_vector(sets: tuple[LinearSet, ...],
+                       meets: dict) -> Vec | None:
     """Some vector in every linear set, or None when they are proved
     disjoint; BudgetError when neither is settled.
 
     In order: a constant of one set that lies in all the others; the least
-    constant of their exact intersection, met one set at a time, so each
-    search has one row per coordinate (one system with a block of rows per
-    set outran any budget on a 2-D triple this settles in milliseconds).
-    A completed search with no particular solution proves them disjoint."""
+    point of the last set's pair system with each component of the meet of
+    the others (_lin_meet; one system with a block of rows per set outran
+    any budget on a 2-D triple this settles in milliseconds).  A completed
+    search with no particular solution proves them disjoint."""
     for s in sets:
-        if all(lin_membership(t, s.constant) for t in sets):
+        if all(t is s or lin_membership(t, s.constant) for t in sets):
             return s.constant
-    meet = [sets[0]]
-    for s in sets[1:]:
-        meet = [m for x in meet for m in _lin_intersect(x, s)]
-    return min((m.constant for m in meet), default=None)
+    return min((_lin_point(x, part) for x in _lin_meet(sets[:-1], meets)
+                for part in _pair_solutions(x, sets[-1])[0]), default=None)
 
 
 def sl_intersection_witness(*sets: SemilinearSet) -> Vec | None:
@@ -668,9 +681,10 @@ def sl_intersection_witness(*sets: SemilinearSet) -> Vec | None:
         return (top, *constants, *(c.periods for c in combo))
 
     undecided = False
+    meets: dict = {}
     for combo in sorted(product(*(s.components for s in sets)), key=order):
         try:
-            v = _lin_common_vector(combo)
+            v = _lin_common_vector(combo, meets)
         except BudgetError:
             undecided = True
             continue

@@ -161,7 +161,7 @@ def test_solve_system_node_budget():
     particular, homogeneous = solve_system(columns, target, node_budget=50)
     assert particular == [] and homogeneous == [(1, 1)]
     with pytest.raises(BudgetError):
-        solve_system(columns, target, node_budget=2)
+        solve_system(columns, target, node_budget=5)
 
 
 def test_residue_pair_is_disjoint_and_fast():

@@ -275,7 +275,7 @@ def test_intersect_matches_membership(a, b):
         assert sl_membership(a, w) and sl_membership(b, w)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(sl2, sl2, sl2)
 # one system stacking a block of rows per set ran past 600 s on this
 # triple; met one set at a time it takes milliseconds
@@ -284,18 +284,63 @@ def test_intersect_matches_membership(a, b):
          SemilinearSet(2, (linear_set((3, 0), ((2, 1), (3, 2))),)))
 def test_witness_of_three_sets_matches_their_intersection(a, b, c):
     sets = (a, b, c)
-    w = sl_intersection_witness(*sets)
+    common = [v for v in ALL_VECS_6
+              if all(member_oracle(s, v) for s in sets)]
+    try:
+        w = sl_intersection_witness(*sets)
+    except BudgetError:
+        return  # undecided: nothing to check
     if w is not None:
         assert all(member_oracle(s, w) for s in sets)
+    elif common:
+        pytest.fail(f"{common[0]} lies in every set")
     try:
         # the exact reference gets a smaller budget: on a few triples it
         # would spend minutes running out of the full one
         with patch.object(semilinear, "SEARCH_NODES", 20_000):
             empty = reduce(sl_intersect, sets).is_empty()
     except BudgetError:
-        # the reference decides nothing; the search above still answered
         return
     assert (w is None) == empty
+
+
+def test_witness_meets_a_shared_prefix_once(monkeypatch):
+    # (2, 1) is the one point of a and b, and no component of c holds it;
+    # the three tuples share the prefix (a, b), whose system is solved once
+    a = SemilinearSet(2, (linear_set((1, 0), ((1, 1),)),))
+    b = SemilinearSet(2, (linear_set((0, 1), ((1, 0),)),))
+    c = SemilinearSet(2, (linear_set((3, 0), ((0, 1),)),
+                          linear_set((4, 0), ((0, 1),)),
+                          linear_set((0, 0), ((0, 2),))))
+    systems = []
+    solve = semilinear.diophantine.solve_system
+
+    def counted(columns, target, node_budget):
+        systems.append((tuple(columns), target))
+        return solve(columns, target, node_budget)
+
+    monkeypatch.setattr(semilinear.diophantine, "solve_system", counted)
+    assert sl_intersection_witness(a, b, c) is None
+    assert len(systems) == 4 and len(set(systems)) == 4
+    # a prefix that ran out of budget is not searched again
+    systems.clear()
+    monkeypatch.setattr(semilinear, "SEARCH_NODES", 0)
+    with pytest.raises(BudgetError):
+        sl_intersection_witness(a, b, c)
+    assert len(systems) == 1
+
+
+def test_witness_searches_every_component_of_a_meet():
+    # a and b meet in several components; (6, 5), the least common vector,
+    # lies in one past the first
+    sets = (SemilinearSet(2, (linear_set((1, 0), ((1, 1), (1, 2))),)),
+            SemilinearSet(2, (linear_set((1, 1), ((2, 3), (3, 1))),)),
+            SemilinearSet(2, (linear_set((2, 3), ((1, 2), (3, 0))),)))
+    assert len(semilinear._lin_meet(tuple(s.components[0] for s in sets[:2]),
+                                    {})) > 1
+    assert sl_intersection_witness(*sets) == (6, 5)
+    exact = reduce(sl_intersect, sets)
+    assert min(c.constant for c in exact.components) == (6, 5)
 
 
 def test_intersection_witness_of_one_set_and_of_none():
