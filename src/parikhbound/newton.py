@@ -74,8 +74,10 @@ def build_kfold(g: Cfg, depth: int | None = None) -> KFoldComposition:
 
 
 def suggested_depth(g: Cfg) -> int:
-    """Smallest verified depth d with Parikh(nu_d) = Parikh(L): the point at
-    which the semilinear Newton iteration stabilizes; at most |variables|."""
+    """A depth d with Parikh(nu_d) = Parikh(L): the staged Newton bound of
+    the semilinear iteration (newton_depth), at most |variables|.  It is an
+    upper bound, not the smallest such d, and it is not checked against
+    the iterate."""
     return newton_depth(g)
 
 

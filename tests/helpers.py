@@ -93,13 +93,27 @@ def random_grammar(rng: random.Random, n_vars: int) -> Cfg:
     return cfg(set(variables), terminals, prods, "X0")
 
 
-def random_corpus(count: int, seed: int = 20260826,
-                  max_vars: int = 3) -> list[Cfg]:
-    """`count` nonempty seeded random grammars with 2..max_vars variables."""
+def random_linear_grammar(rng: random.Random, n_vars: int) -> Cfg:
+    """A random grammar whose right-hand sides hold at most one variable."""
+    variables = [f"X{i}" for i in range(n_vars)]
+    prods = set()
+    for x in variables:
+        for _ in range(rng.randint(2, 3)):
+            rhs = [rng.choice("ab") for _ in range(rng.randint(0, 2))]
+            if rng.random() < 0.7:
+                rhs.insert(rng.randint(0, len(rhs)), rng.choice(variables))
+            prods.add((x, tuple(rhs)))
+    return cfg(set(variables), ["a", "b"], prods, "X0")
+
+
+def random_corpus(count: int, seed: int = 20260826, max_vars: int = 3,
+                  make=random_grammar) -> list[Cfg]:
+    """`count` nonempty seeded random grammars with 2..max_vars variables,
+    each drawn by `make`."""
     rng = random.Random(seed)
     out: list[Cfg] = []
     while len(out) < count:
-        g = random_grammar(rng, rng.randint(2, max_vars))
+        g = make(rng, rng.randint(2, max_vars))
         if is_empty_language(g):
             continue
         t = trim(g)

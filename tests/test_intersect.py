@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import ANBN, DYCK1, G_EX, Budget
+from helpers import ANBN, DYCK1, G_EX, PALIN, Budget
 from parikhbound import (BudgetError, InputError, IntersectionInstance,
                          cyk_membership, eb, enumerate_words,
                          intersect_modulo, parse_grammar, progress_trace,
@@ -185,3 +185,15 @@ def test_five_letter_witness_is_found():
     with Budget(30):
         r = check_sound(grammars)
     assert r.status == "nonempty" and r.witness == ("b", "a", "b", "b", "a")
+
+
+def test_round_one_of_the_running_example_and_palindromes():
+    # B's block projections meet in no vector.  Nearly all of their
+    # component pairs differ in a constant where one side has no period;
+    # a Diophantine search on each pair took over a minute
+    with Budget(20):
+        states = []
+        result = semi_algorithm(IntersectionInstance((G_EX, PALIN)),
+                                max_rounds=1, states=states)
+        assert result.status == "unknown"
+        assert intersect_modulo([G_EX, PALIN], states[0].bounded) is None

@@ -6,6 +6,7 @@ from parikhbound import (InputError, LinearGrammar, build_kfold,
                          suggested_depth, trim)
 from parikhbound.grammar import cfg, enumerate_words
 from parikhbound.newton import v_symbol
+from parikhbound.pdn import acceptor_to_cfg, encode_to_acceptors, family_instance
 
 G_EX_DIFFERENTIAL = {
     ("X0", ("a", "X1")),
@@ -89,6 +90,17 @@ def test_iterate_words_belong_to_language():
     for k in range(kf.depth + 1):
         for w in enumerate_words(materialize_iterate(kf, "X0", k), 8):
             assert w in base
+
+
+def test_suggested_depth_keeps_the_parikh_image_of_the_family_acceptors():
+    # the staged bound counts one step for each linear block on a chain
+    for k in (1, 2, 3):
+        for a in encode_to_acceptors(*family_instance(k)):
+            g = trim(acceptor_to_cfg(a))
+            kf = build_kfold(g, suggested_depth(g))
+            iterate = materialize_iterate(kf, g.start, kf.depth)
+            assert per_length_parikh(iterate, 6, g.terminals) == \
+                per_length_parikh(g, 6), (k, kf.depth)
 
 
 def test_suggested_depth_bounds():

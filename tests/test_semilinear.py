@@ -1,4 +1,5 @@
 import pickle
+from collections import Counter
 from functools import reduce
 from itertools import product
 from operator import add
@@ -9,14 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (CORE_CORPUS, G_EX, expand_semilinear, full_corpus,
-                     naive_lin_member, parikh_vectors, reference_lin_subsumed,
+                     naive_lin_member, parikh_vectors, random_corpus,
+                     random_linear_grammar, reference_lin_subsumed,
                      reference_merge_pair, reference_minkowski_pairs,
                      reference_prune_pairs)
 from parikhbound import (BudgetError, InputError, LinearSet, SemilinearSet,
-                         cyk_membership, linear_set, parikh_image,
-                         parikh_semilinear, parikh_of_word, sl_from_text,
-                         sl_intersect, sl_intersection_witness, sl_membership,
-                         sl_to_text, trim, witness_for_vector)
+                         cyk_membership, differential_grammar, linear_set,
+                         parikh_image, parikh_semilinear, parikh_of_word,
+                         sl_from_text, sl_intersect, sl_intersection_witness,
+                         sl_membership, sl_to_text, trim, witness_for_vector)
 from parikhbound import semilinear
 from parikhbound.diophantine import solve_nonneg
 from parikhbound.pdn import acceptor_to_cfg, encode_to_acceptors, family_instance
@@ -305,13 +307,15 @@ def test_witness_of_three_sets_matches_their_intersection(a, b, c):
 
 
 def test_witness_meets_a_shared_prefix_once(monkeypatch):
-    # (2, 1) is the one point of a and b, and no component of c holds it;
-    # the three tuples share the prefix (a, b), whose system is solved once
+    # (2, 1) is the one point of a and b, and no component of c holds it,
+    # by parity; none is told apart from it by its constant alone, so each
+    # is searched.  The three tuples share the prefix (a, b), whose system
+    # is solved once
     a = SemilinearSet(2, (linear_set((1, 0), ((1, 1),)),))
     b = SemilinearSet(2, (linear_set((0, 1), ((1, 0),)),))
-    c = SemilinearSet(2, (linear_set((3, 0), ((0, 1),)),
-                          linear_set((4, 0), ((0, 1),)),
-                          linear_set((0, 0), ((0, 2),))))
+    c = SemilinearSet(2, (linear_set((2, 0), ((0, 2),)),
+                          linear_set((1, 1), ((2, 0),)),
+                          linear_set((0, 0), ((2, 0), (0, 2)))))
     systems = []
     solve = semilinear.diophantine.solve_system
 
@@ -328,6 +332,23 @@ def test_witness_meets_a_shared_prefix_once(monkeypatch):
     with pytest.raises(BudgetError):
         sl_intersection_witness(a, b, c)
     assert len(systems) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(lin_pairs())
+# a's constant exceeds b's in coordinate 0, where b has no period
+@example((linear_set((3, 0), ((0, 1),)), linear_set((2, 1), ((0, 1),))))
+# equal where b has no period, and a reaches b's constant: not apart
+@example((linear_set((2, 0), ((0, 2),)), linear_set((2, 1), ())))
+def test_constants_apart_only_for_disjoint_pairs(pair):
+    a, b = pair
+    apart = semilinear._constants_apart(a, b)
+    assert semilinear._constants_apart(b, a) == apart
+    if apart:
+        sa, sb = (SemilinearSet(a.dim, (x,)) for x in pair)
+        box = product(range(9 if a.dim == 2 else 7), repeat=a.dim)
+        assert not any(member_oracle(sa, v) and member_oracle(sb, v)
+                       for v in box)
 
 
 def test_witness_searches_every_component_of_a_meet():
@@ -355,7 +376,11 @@ def test_intersection_witness_of_one_set_and_of_none():
 
 
 def test_parikh_semilinear_on_corpus_sound_and_tight():
-    for g in CORE_CORPUS:
+    # the named grammars, and linear ones, whose blocks Newton solves in at
+    # most two steps: their differentials and seeded random linear grammars
+    linear = [differential_grammar(g) for g in CORE_CORPUS] + \
+        random_corpus(12, seed=20261019, max_vars=4, make=random_linear_grammar)
+    for g in CORE_CORPUS + linear:
         t = trim(g)
         s = parikh_semilinear(g)
         enumerated = parikh_vectors(g, 8)
@@ -367,6 +392,31 @@ def test_parikh_semilinear_on_corpus_sound_and_tight():
         for v in expand_semilinear(s, 8):
             if sum(v) <= 8:
                 assert v in enumerated, (g.start, v)
+
+
+def test_a_linear_block_is_solved_at_most_twice(monkeypatch):
+    """On a block whose monomials hold at most one of its variables, the
+    first Newton step already gives the least solution; one more step, and
+    no test for change, is all that runs."""
+    solves = Counter()
+    solve = semilinear._solve_block
+
+    def counted(block, matrix, rhs, dim):
+        solves[tuple(block)] += 1
+        return solve(block, matrix, rhs, dim)
+
+    monkeypatch.setattr(semilinear, "_solve_block", counted)
+    for a in encode_to_acceptors(*family_instance(3)):
+        g = trim(acceptor_to_cfg(a))
+        for cached in lru_caches().values():
+            cached.cache_clear()
+        solves.clear()
+        parikh_semilinear(g)
+        assert max(map(len, solves)) >= 3
+        for block, calls in solves.items():
+            assert all(sum(s in block for s in rhs) <= 1
+                       for lhs, rhs in g.productions if lhs in block)
+            assert calls <= min(2, len(block)), (block, calls)
 
 
 def test_witness_for_vector_fixtures():
