@@ -566,12 +566,15 @@ def simplify(g: Cfg) -> Cfg:
 
 def _merge_equivalent(g: Cfg) -> Cfg:
     block: dict[str, int] = {x: 0 for x in g.variables}
+    by_lhs: dict[str, list] = {x: [] for x in g.variables}
+    for lhs, rhs in g.productions:
+        by_lhs[lhs].append(rhs)
     while True:
         signature: dict[str, tuple] = {}
         for x in g.variables:
             sig = frozenset(
                 tuple(("v", block[s]) if s in g.variables else ("t", s) for s in rhs)
-                for lhs, rhs in g.productions if lhs == x)
+                for rhs in by_lhs[x])
             signature[x] = sig
         groups: dict[tuple, list[str]] = {}
         for x in sorted(g.variables):

@@ -806,26 +806,55 @@ def _scc_blocks(deps: dict) -> list[list]:
 def _solve_block(block, matrix, rhs, dim):
     """Least solution of x = M x + b over the semilinear semiring on the
     variables of one block, by Gaussian elimination with Kleene star on the
-    diagonal."""
+    diagonal.
+
+    Each pivot is the remaining variable k of least Markowitz count: the
+    number of other remaining i with an entry M[i,k] times that of other
+    remaining j with an entry M[k,j], which is the number of products its
+    elimination makes.  Ties go to the least name, so the result depends on
+    the input alone.  Both counts follow removals and fill-in.  A hub goes
+    after its spokes, so its elimination fills in no spoke pairs.
+
+    Any order gives the least solution.  Eliminating x_k substitutes
+    x_k = M[k,k]* (sum over j != k of M[k,j] x_j + b_k) into the other
+    equations, and in a commutative idempotent semiring with star
+    M[k,k]* t is the least solution of x_k = M[k,k] x_k + t for any t.
+    Orders differ only in the components that prune keeps."""
     matrix = dict(matrix)
     rhs = dict(rhs)
     eliminated = []
     remaining = sorted(block)
+    n_in = dict.fromkeys(remaining, 0)
+    n_out = dict.fromkeys(remaining, 0)
+    for i, j in matrix:
+        if i != j:
+            n_out[i] += 1
+            n_in[j] += 1
     while remaining:
-        k = remaining.pop(0)
+        k = min(remaining, key=lambda x: n_in[x] * n_out[x])
+        remaining.remove(k)
         star_kk = sl_star(matrix.pop((k, k), sl_empty(dim)))
         row = {j: sl_minkowski(star_kk, matrix.pop((k, j)))
                for j in remaining if (k, j) in matrix}
+        for j in row:
+            n_in[j] -= 1
         bk = sl_minkowski(star_kk, rhs[k])
         eliminated.append((k, row, bk))
         for i in remaining:
             if (i, k) not in matrix:
                 continue
             mik = matrix.pop((i, k))
+            n_out[i] -= 1
             for j, rv in row.items():
                 cur = matrix.get((i, j))
                 add = sl_minkowski(mik, rv)
-                matrix[(i, j)] = prune(sl_union(cur, add)) if cur else add
+                if cur:
+                    matrix[(i, j)] = prune(sl_union(cur, add))
+                else:
+                    matrix[(i, j)] = add
+                    if i != j:
+                        n_out[i] += 1
+                        n_in[j] += 1
             rhs[i] = prune(sl_union(rhs[i], sl_minkowski(mik, bk)))
     values: dict[str, SemilinearSet] = {}
     for k, row, bk in reversed(eliminated):
@@ -941,7 +970,13 @@ def newton_depth(g: Cfg) -> int:
 
 def witness_for_vector(g: Cfg, v) -> Word | None:
     """A word of L(g) with Parikh vector v, by dynamic programming over all
-    vectors dominated by v; None if no such word exists."""
+    vectors dominated by v; None if no such word exists.
+
+    The join is semi-naive: rule r skips the pairs inside the y and z
+    snapshot lengths it joined on its last pass (joined[r]), in an
+    unchanged loop order.  Those pairs were tried already; the table only
+    grows, in insertion order, so they would insert nothing, and the first
+    word found for each vector stays the same."""
     v = tuple(v)
     g = trim(g)
     if len(v) != len(g.terminals):
@@ -957,17 +992,20 @@ def witness_for_vector(g: Cfg, v) -> Word | None:
         e = tuple(1 if i == index[a] else 0 for i in range(len(v)))
         if all(x1 <= x2 for x1, x2 in zip(e, v)):
             table.setdefault(x, {})[e] = (a,)
+    joined: dict[int, tuple[int, int]] = {}
     changed = True
     while changed:
         changed = False
-        for x, y, z in cnf.binary:
+        for r, (x, y, z) in enumerate(cnf.binary):
             ys = table.get(y)
             zs = table.get(z)
             if not ys or not zs:
                 continue
             cell = table.setdefault(x, {})
-            for u1, w1 in list(ys.items()):
-                for u2, w2 in list(zs.items()):
+            old_y, old_z = joined.get(r, (0, 0))
+            joined[r] = len(ys), len(zs)
+            for i, (u1, w1) in enumerate(list(ys.items())):
+                for u2, w2 in list(zs.items())[old_z if i < old_y else 0:]:
                     s = tuple(a + b for a, b in zip(u1, u2))
                     if any(a > b for a, b in zip(s, v)) or s in cell:
                         continue

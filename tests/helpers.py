@@ -18,8 +18,9 @@ from parikhbound.diophantine import solve_nonneg
 from parikhbound.grammar import (LinearGrammar, cfg, finite_cfg,
                                  is_empty_language, simplify)
 from parikhbound.newton import build_kfold, suggested_depth, v_symbol
-from parikhbound.semilinear import (lin_membership, linear_set, wit_minkowski,
-                                    wit_singleton)
+from parikhbound.semilinear import (lin_membership, linear_set, prune,
+                                    sl_empty, sl_minkowski, sl_star, sl_union,
+                                    wit_minkowski, wit_singleton)
 from parikhbound.symbols import alphabet
 
 
@@ -323,6 +324,35 @@ def reference_minkowski_pairs(a, b) -> list:
     return [(linear_set(tuple(map(sum, zip(x.constant, y.constant))),
                         x.periods + y.periods), wx + wy)
             for x, wx in a.components for y, wy in b.components]
+
+
+def reference_solve_block(block, matrix, rhs, dim):
+    """``_solve_block`` with its pivots taken in name order: the least
+    solution of x = M x + b on one block by Gaussian elimination, each
+    variable's star substituted into the later ones, then back-substitution."""
+    matrix = dict(matrix)
+    rhs = dict(rhs)
+    order = sorted(block)
+    rows = {}
+    for n, k in enumerate(order):
+        star_kk = sl_star(matrix.pop((k, k), sl_empty(dim)))
+        row = {j: sl_minkowski(star_kk, matrix.pop((k, j)))
+               for j in order[n + 1:] if (k, j) in matrix}
+        rows[k] = (row, sl_minkowski(star_kk, rhs[k]))
+        for i in order[n + 1:]:
+            if (i, k) in matrix:
+                mik = matrix.pop((i, k))
+                for j, rv in row.items():
+                    add = sl_minkowski(mik, rv)
+                    cur = matrix.get((i, j))
+                    matrix[(i, j)] = prune(sl_union(cur, add)) if cur else add
+                rhs[i] = prune(sl_union(rhs[i], sl_minkowski(mik, rows[k][1])))
+    values = {}
+    for k in reversed(order):
+        row, bk = rows[k]
+        values[k] = prune(sl_union(bk, *(sl_minkowski(rv, values[j])
+                                         for j, rv in row.items())))
+    return values
 
 
 def level_symbol(x: str, level: int) -> str:

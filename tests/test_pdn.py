@@ -96,6 +96,21 @@ def test_family_oracle():
     assert pdn_reach_bounded(pdn, init, target, 12)
 
 
+def test_reach_on_the_family_up_to_five():
+    """W1 of the roadmap, beyond the k <= 3 of the acceptance tests: each
+    instance is reachable, by a schedule that activates thread 2 at least
+    k times and that every acceptor grammar accepts."""
+    with Budget(10):
+        for k in range(1, 6):
+            pdn, init, target = family_instance(k)
+            result = reach(pdn, init, target)
+            assert result.status == "nonempty", k
+            activations = sum(1 for s in result.witness if s.endswith(",2)"))
+            assert activations >= k, (k, result.witness)
+            assert all(cyk_membership(trim(acceptor_to_cfg(a)), result.witness)
+                       for a in encode_to_acceptors(pdn, init, target)), k
+
+
 def test_family_requires_positive_k():
     with pytest.raises(InputError):
         family_instance(0)

@@ -13,7 +13,7 @@ from helpers import (CORE_CORPUS, G_EX, expand_semilinear, full_corpus,
                      naive_lin_member, parikh_vectors, random_corpus,
                      random_linear_grammar, reference_lin_subsumed,
                      reference_merge_pair, reference_minkowski_pairs,
-                     reference_prune_pairs)
+                     reference_prune_pairs, reference_solve_block)
 from parikhbound import (BudgetError, InputError, LinearSet, SemilinearSet,
                          cyk_membership, differential_grammar, linear_set,
                          parikh_image, parikh_semilinear, parikh_of_word,
@@ -417,6 +417,89 @@ def test_a_linear_block_is_solved_at_most_twice(monkeypatch):
             assert all(sum(s in block for s in rhs) <= 1
                        for lhs, rhs in g.productions if lhs in block)
             assert calls <= min(2, len(block)), (block, calls)
+
+
+def unit(i, dim=5):
+    return tuple(int(j == i) for j in range(dim))
+
+
+def test_spokes_are_pivoted_before_the_hub(monkeypatch):
+    """A hub with edges to and from four spokes, named to sort first:
+    eliminating it first would fill in all twelve spoke pairs.  Each
+    variable has its own loop, so the stars taken show the pivot order."""
+    names = "abcde"
+    matrix = {(x, x): sl_singleton(unit(i)) for i, x in enumerate(names)}
+    for x in names[1:]:
+        matrix[("a", x)] = sl_singleton(unit(0))
+        matrix[(x, "a")] = sl_singleton(unit(names.index(x)))
+    rhs = {x: sl_singleton((0,) * 5) for x in names}
+    pivots = []
+
+    def star(s):
+        if s.components:
+            pivots.append(names[s.components[0].constant.index(1)])
+        return sl_star(s)
+
+    monkeypatch.setattr(semilinear, "sl_star", star)
+    values = semilinear._solve_block(list(names), matrix, rhs, 5)
+    monkeypatch.undo()
+    # with one spoke left, hub and spoke tie, and the name decides
+    assert pivots == ["b", "c", "d", "a", "e"]
+    reference = reference_solve_block(list(names), matrix, rhs, 5)
+    for x in names:
+        assert expand_semilinear(values[x], 6) == \
+            expand_semilinear(reference[x], 6), x
+
+
+def test_the_family_hub_blocks_fill_in_little(monkeypatch):
+    """The second acceptor of the k = 3 family has 5-variable hub blocks;
+    solving them in name order took 706 Minkowski products."""
+    inside, products = [False], [0]
+    solve, minkowski = semilinear._solve_block, semilinear.sl_minkowski
+
+    def counted_minkowski(a, b):
+        products[0] += inside[0]
+        return minkowski(a, b)
+
+    def counted_solve(block, matrix, rhs, dim):
+        inside[0] = True
+        try:
+            return solve(block, matrix, rhs, dim)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(semilinear, "_solve_block", counted_solve)
+    monkeypatch.setattr(semilinear, "sl_minkowski", counted_minkowski)
+    g = trim(acceptor_to_cfg(encode_to_acceptors(*family_instance(3))[1]))
+    for cached in lru_caches().values():
+        cached.cache_clear()
+    parikh_semilinear(g)
+    assert 0 < products[0] <= 400, products
+
+
+def per_variable_images(g):
+    for cached in lru_caches().values():
+        cached.cache_clear()
+    return dict(semilinear._newton(trim(g))[0])
+
+
+def test_the_pivot_order_keeps_the_least_solution(monkeypatch):
+    """Every pivot order gives the least solution of a block: the images
+    of every variable agree with name-order elimination."""
+    grammars = [differential_grammar(g) for g in CORE_CORPUS] + \
+        random_corpus(12, seed=20261020, max_vars=5,
+                      make=random_linear_grammar) + \
+        [acceptor_to_cfg(a) for k in (1, 2, 3)
+         for a in encode_to_acceptors(*family_instance(k))]
+    for n, g in enumerate(grammars):
+        pivoted = per_variable_images(g)
+        with monkeypatch.context() as m:
+            m.setattr(semilinear, "_solve_block", reference_solve_block)
+            named = per_variable_images(g)
+        assert pivoted.keys() == named.keys()
+        for x in pivoted:
+            assert expand_semilinear(pivoted[x], 6) == \
+                expand_semilinear(named[x], 6), (n, x)
 
 
 def test_witness_for_vector_fixtures():
