@@ -13,7 +13,7 @@ import sys
 
 from .boundedgen import (bounded_subset, parikh_equivalent_bounded,
                          verify_parikh_property)
-from .errors import BudgetError, InputError, ProgressNotReached, SoundnessError
+from .errors import BudgetError, InputError, SoundnessError
 from .grammar import enumerate_words, format_grammar, parse_grammar, trim
 from .intersect import IntersectionInstance, intersect_modulo, semi_algorithm
 from .pdn import family_instance, pdn_from_json, pdn_reach_bounded, reach
@@ -221,7 +221,7 @@ def main(argv=None) -> int:
     except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetError, ProgressNotReached) as exc:
+    except BudgetError as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return 2
     except SoundnessError as exc:  # never expected; do not hide it

@@ -1,17 +1,23 @@
 """Semi-decision procedure for emptiness of a context-free intersection.
 
-Each round: (1) look for one vector common to the Parikh images of the
-current languages, component tuple by component tuple (a completed
-Diophantine search proves a tuple empty); if the images are proved disjoint,
-the intersection is empty, and a common vector yields candidate witness
-words; (2) otherwise build a Parikh-equivalent bounded language B for each
-current language, concatenate them, and decide intersection inside B
-exactly via block projections; (3) a found witness is
-verified in every original grammar, otherwise every language is refined by
-intersecting with the complement of B and the loop continues.  Refinement
-only removes words certified witness-free, so an emptiness answer is sound;
-when a search budget leaves the decision inside B open, the answer is
-"unknown".
+Each round runs four phases on the current languages:
+
+1. Parikh disjointness: look for one vector common to their Parikh images,
+   component tuple by component tuple (a completed Diophantine search
+   proves a tuple empty).  If the images are disjoint, the intersection is
+   empty; if a budget leaves this open, the round goes on to phase 3.
+2. Fast-path witness: a common vector yields one candidate word per
+   language; a candidate in every original grammar is a witness.
+3. Decision inside B: build a Parikh-equivalent bounded language for each
+   current language and concatenate them into B; decide the intersection
+   inside B exactly via block projections, verifying any witness in every
+   original grammar.
+4. Refinement: intersect every language with the complement of B and start
+   the next round.
+
+Refinement only removes words certified witness-free, so an emptiness
+answer is sound; when a search budget leaves the decision inside B open,
+the answer is "unknown".
 """
 
 from __future__ import annotations
@@ -19,12 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .boundedgen import parikh_equivalent_bounded
-from .errors import BudgetError, InputError, SoundnessError
+from .errors import BudgetError, InputError, ProgressNotReached, SoundnessError
 from .grammar import (Cfg, block_projection, cyk_membership, product_with_dfa,
                       simplify, trim, union_alphabets, with_alphabet)
 from .semilinear import (parikh_semilinear, sl_intersection_witness,
                          witness_for_vector)
-from .symbols import ElementaryBounded, Word, eb, eb_complement_dfa, eb_concat
+from .symbols import ElementaryBounded, Word, eb_complement_dfa, eb_concat
 
 
 @dataclass(frozen=True)
@@ -104,39 +110,21 @@ def semi_algorithm(instance: IntersectionInstance, max_rounds: int = 5,
         state = IterationState(rnd, current)
         if states is not None:
             states.append(state)
-        vector = None
         try:
-            images = [parikh_semilinear(g) for g in current]
+            vector = sl_intersection_witness(
+                *[parikh_semilinear(g) for g in current])
         except BudgetError:
-            images = None
-        if images is not None:
-            try:
-                vector = sl_intersection_witness(*images)
-                if vector is None:
-                    return IntersectionResult("empty", rounds=rnd)
-            except BudgetError:
-                pass  # disjointness not settled; try the bounded language
-
-        if vector is not None:
+            pass  # disjointness not settled; the bounded language decides
+        else:
+            if vector is None:
+                return IntersectionResult("empty", rounds=rnd)
             # fast path: a common Parikh vector yields candidate witness
             # words far more cheaply than the full bounded construction
-            candidates: list[Word] = []
-            for g in current:
-                w = witness_for_vector(g, vector)
-                if w is not None and w not in candidates:
-                    candidates.append(w)
-            for w in candidates:
-                if all(cyk_membership(g, w) for g in originals):
+            for w in dict.fromkeys(witness_for_vector(g, vector)
+                                   for g in current):
+                if w is not None and all(cyk_membership(g, w)
+                                         for g in originals):
                     return IntersectionResult("nonempty", witness=w,
-                                              rounds=rnd)
-            if candidates:
-                try:
-                    witness = intersect_modulo(list(originals),
-                                               eb(candidates))
-                except BudgetError:
-                    witness = None  # undecided; the bounded language decides
-                if witness is not None:
-                    return IntersectionResult("nonempty", witness=witness,
                                               rounds=rnd)
         bounded = eb_concat(*[parikh_equivalent_bounded(g) for g in current])
         state.bounded = bounded
@@ -155,8 +143,6 @@ def semi_algorithm(instance: IntersectionInstance, max_rounds: int = 5,
 def progress_trace(g: Cfg, w: Word, max_rounds: int = 10) -> int:
     """The first refinement round i at which w is no longer in L_i, when the
     procedure runs on the single language L(g)."""
-    from .errors import ProgressNotReached
-
     if not cyk_membership(g, w):
         raise InputError("w must belong to L(g)")
     current = simplify(trim(g))

@@ -10,6 +10,7 @@ constants always have witness words in the language.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -732,7 +733,6 @@ def sl_from_text(text: str, dim: int | None = None) -> SemilinearSet:
     """The set sl_to_text wrote.  Its dimension is ``dim`` when given, else
     that of the first component; InputError for a component of another
     dimension."""
-    import re
     comps = []
     for line in text.splitlines():
         line = line.strip()

@@ -7,7 +7,6 @@ bounded language ``w1* w2* ... wk*`` is represented by its ordered word list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import InputError
 
@@ -73,10 +72,7 @@ def parikh_of_word(w: Word, sigma: Alphabet) -> ParikhVector:
 class ElementaryBounded:
     """The language w1* w2* ... wk*.  Empty-word factors are dropped eagerly.
 
-    ``words == ()`` denotes the singleton language {epsilon}.  The word list
-    is in collapsed normal form when no word is a power of the word before
-    it; every result of ``eb_concat`` is, while ``eb`` keeps its list as
-    given.
+    ``words == ()`` denotes the singleton language {epsilon}.
     """
 
     words: tuple[Word, ...]
@@ -84,12 +80,6 @@ class ElementaryBounded:
     def __post_init__(self):
         kept = tuple(tuple(w) for w in self.words if len(w) > 0)
         object.__setattr__(self, "words", kept)
-
-    @cached_property
-    def collapsed(self) -> bool:
-        """Whether the word list is in collapsed normal form."""
-        words = self.words
-        return not any(_is_power_of(y, x) for x, y in zip(words, words[1:]))
 
     @property
     def k(self) -> int:
@@ -109,57 +99,16 @@ def eb(words) -> ElementaryBounded:
 def eb_concat(*parts: ElementaryBounded) -> ElementaryBounded:
     """Concatenation of elementary bounded languages, collapsing adjacent repeats.
 
-    Dropping a word y right after a kept word x is exact whenever y is a
-    power of x, since then x* y* = x*.  The words are those of a greedy
-    collapse of all parts' words in order: each word is dropped if it is a
-    power of the last word kept, and kept otherwise.  The result is
-    therefore in collapsed normal form, and is marked so.
-
-    A collapsed part costs only its leading words: once one of them is
-    kept, the rest follow unchanged.  This gives the same words as the
-    word-by-word collapse, because greedy collapse is associative,
-    collapse(A ++ B) = collapse(collapse(A) ++ collapse(B)).  Proof: write
-    x <= y when y is a power of x (y = x^n, n >= 1), a transitive relation,
-    and fold(C, S) for the list kept when the collapse starts from the kept
-    list C and reads S.  A dropped word leaves the kept list unchanged, so
-    removing from S words that fold(C, S) drops does not change the result.
-    Every word w that collapse(S) drops, fold(C, S) drops too.  By induction
-    on the position of w: collapse(S) drops w because the last word k of S
-    kept before it has k <= w.  In fold(C, S), k was kept, or dropped
-    because the last kept word x had x <= k; either way the kept list then
-    ends with an x <= k.  The words between k and w were dropped by
-    collapse(S), so by induction also by fold(C, S), which still ends with
-    x when it reads w; x <= k <= w drops w.  Hence
-    fold(C, S) = fold(C, collapse(S)).  As collapse is the fold from the
-    empty list, collapse(X ++ Y) = fold(collapse(X), Y), and the case C = []
-    gives collapse(collapse(A)) = collapse(A).  So
-    collapse(A ++ B) = fold(collapse(A), B) = fold(collapse(A), collapse(B))
-    = collapse(collapse(A) ++ collapse(B)).
+    The words of all parts are read in order; each is dropped if it is a
+    power of the last word kept, and kept otherwise.  Dropping is exact,
+    since x* (x^n)* = x*.
     """
     out: list[Word] = []
     for part in parts:
-        words = part.words
-        if not words:
-            continue
-        if not part.collapsed:
-            for w in words:
-                if not out or not _is_power_of(w, out[-1]):
-                    out.append(w)
-        # a power of x begins with x[0]; most part boundaries fail that test
-        elif (out and words[0][0] == out[-1][0]
-              and _is_power_of(words[0], out[-1])):
-            last, start = out[-1], 1
-            while start < len(words) and _is_power_of(words[start], last):
-                start += 1
-            out.extend(words[start:])
-        else:
-            out.extend(words)
-    # every word came from a part, so it is a nonempty tuple already and
-    # __post_init__ has nothing to do
-    result = object.__new__(ElementaryBounded)
-    object.__setattr__(result, "words", tuple(out))
-    result.__dict__["collapsed"] = True
-    return result
+        for w in part.words:
+            if not out or not _is_power_of(w, out[-1]):
+                out.append(w)
+    return ElementaryBounded(tuple(out))
 
 
 def _is_power_of(y: Word, x: Word) -> bool:

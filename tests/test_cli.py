@@ -193,6 +193,17 @@ def test_reach_pdn_family(capsys):
     assert json.loads(capsys.readouterr().out)["oracle_reachable"] is True
 
 
+def test_reach_pdn_family_through_reach(capsys):
+    # the README's example, without the oracle: a schedule that switches
+    # to thread 2
+    assert main(["reach-pdn", "--family", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("reachable; schedule: ") and ",2)" in out
+    assert main(["--format", "json", "reach-pdn", "--family", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "nonempty" and ",2)" in payload["schedule"]
+
+
 def test_reach_pdn_file(files, capsys):
     pdn, init, target = family_instance(1)
     path = files("net.json", pdn_to_json(pdn, init, target))
@@ -240,6 +251,13 @@ def test_negative_rounds_and_depth_exit_2(files, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert not captured.out
     assert captured.err.count("must be an integer >= 0") == 3
+
+
+def test_exhausted_budget_exits_2(files, capsys):
+    # (a|b)* has 2^19 words of length 19, over the enumeration budget
+    path = files("g.txt", "S -> a S | b S | eps\n")
+    assert main(["parikh", path, "--verify", "19"]) == 2
+    assert "budget: enumeration exceeded 500000 words" in capsys.readouterr().err
 
 
 def test_bad_input_exits_2(files, capsys):

@@ -185,6 +185,8 @@ def test_five_letter_witness_is_found():
     with Budget(30):
         r = check_sound(grammars)
     assert r.status == "nonempty" and r.witness == ("b", "a", "b", "b", "a")
+    # a round whose candidates all fail is decided inside B that same round
+    assert r.rounds == 1
 
 
 def test_round_one_of_the_running_example_and_palindromes():

