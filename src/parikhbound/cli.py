@@ -113,7 +113,7 @@ def cmd_check_intersection(args) -> int:
 
 
 def cmd_reach_pdn(args) -> int:
-    if args.family:
+    if args.family is not None:
         pdn, init, target = family_instance(args.family)
     else:
         pdn, init, target = pdn_from_json(_read(args.network))
@@ -213,7 +213,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # a usage error (2, reported) or --help (0)
         return exc.code
     if getattr(args, "command", None) == "reach-pdn" \
-            and not args.network and not args.family:
+            and not args.network and args.family is None:
         print("error: provide a network file or --family K", file=sys.stderr)
         return 2
     try:

@@ -84,10 +84,11 @@ def parse_grammar(text: str) -> Cfg:
         X1 -> X0 b | eps
 
     Symbols are whitespace-separated; any symbol never used as a left-hand
-    side is a terminal; 'eps' denotes the empty right-hand side.  Only a
-    line without '->' is a start directive, so a variable may be named
-    'start'.  A '#' that starts a token begins a comment; inside a symbol,
-    as in the helper variable S#0, it is part of the name.
+    side is a terminal; 'eps' denotes the empty right-hand side, and an
+    alternative with no symbol at all is an error.  Only a line without '->'
+    is a start directive, so a variable may be named 'start'.  A '#' that
+    starts a token begins a comment; inside a symbol, as in the helper
+    variable S#0, it is part of the name.
     """
     start = None
     rules: list[tuple[str, list[str]]] = []
@@ -105,8 +106,10 @@ def parse_grammar(text: str) -> Cfg:
         lhs = lhs.strip()
         if not lhs or len(lhs.split()) != 1:
             raise InputError(f"bad left-hand side in line: {raw!r}")
-        for alt in rest.split("|"):
-            rules.append((lhs, alt.split()))
+        for rhs in map(str.split, rest.split("|")):
+            if not rhs:
+                raise InputError(f"empty alternative (write eps): {raw!r}")
+            rules.append((lhs, rhs))
     if not rules:
         raise InputError("grammar has no productions")
     variables = {lhs for lhs, _ in rules}

@@ -72,9 +72,6 @@ def intersect_modulo(grammars: list[Cfg], b: ElementaryBounded) -> Word | None:
     if not grammars:
         raise InputError("need at least one grammar")
     words = b.words
-    if not words:
-        w: Word = ()
-        return w if all(cyk_membership(g, w) for g in grammars) else None
     images = []
     for g in grammars:
         image = parikh_semilinear(block_projection(trim(g), words))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import BudgetError, InputError
 from .grammar import Cfg, simplify, trim
@@ -118,25 +119,16 @@ def acceptor_to_cfg(acc: PushdownAcceptor) -> Cfg:
     prods = set()
     variables = set()
     for g, gamma, label, g2, push in acc.rules:
-        lbl: tuple[str, ...] = () if label is None else (label,)
-        if len(push) == 0:
-            variables.add(tv(g, gamma, g2))
-            prods.add((tv(g, gamma, g2), lbl))
-        elif len(push) == 1:
-            for q in globals_:
-                variables.add(tv(g, gamma, q))
-                variables.add(tv(g2, push[0], q))
-                prods.add((tv(g, gamma, q), lbl + (tv(g2, push[0], q),)))
-        elif len(push) == 2:
-            for q1 in globals_:
-                for q2 in globals_:
-                    variables.add(tv(g, gamma, q2))
-                    variables.add(tv(g2, push[0], q1))
-                    variables.add(tv(q1, push[1], q2))
-                    prods.add((tv(g, gamma, q2),
-                               lbl + (tv(g2, push[0], q1), tv(q1, push[1], q2))))
-        else:
+        if len(push) > 2:
             raise InputError("acceptor rules may push at most two symbols")
+        lbl: tuple[str, ...] = () if label is None else (label,)
+        # [g gamma qn] -> lbl [g2 p0 q1] ... [q(n-1) p(n-1) qn], q0 = g2
+        for qs in product(globals_, repeat=len(push)):
+            path = (g2, *qs)
+            body = tuple(map(tv, path, push, path[1:]))
+            head = tv(g, gamma, path[-1])
+            variables.update((head, *body))
+            prods.add((head, lbl + body))
     start = f"S{acc.thread}"
     variables.add(start)
     stack = acc.initial_stack
@@ -263,15 +255,28 @@ def pdn_from_json(text: str) -> tuple[PushdownNetwork, GlobalConfiguration,
     except json.JSONDecodeError as exc:
         raise InputError(f"bad JSON: {exc}") from None
     try:
+        # a string where a list belongs would read as its characters
+        threads = data["threads"]
+        stacks = [data["init"]["stacks"], data["target"]["stacks"]]
+        if not all(isinstance(x, list) for x in (
+                data["globals"], data["stack_alphabet"], threads, *stacks)) \
+                or not all(isinstance(x, list)
+                           for x in (*threads, *stacks[0], *stacks[1])) \
+                or not all(isinstance(r, list) and len(r) == 4
+                           and isinstance(r[3], list)
+                           for thread in threads for r in thread):
+            raise InputError("malformed network description: globals, "
+                             "stack_alphabet, threads, each thread, rule, push "
+                             "and stack must be lists, and a rule has 4 fields")
         pdn = PushdownNetwork(
             tuple(data["globals"]), tuple(data["stack_alphabet"]),
             tuple(tuple((r[0], r[1], r[2], tuple(r[3])) for r in thread)
-                  for thread in data["threads"]))
+                  for thread in threads))
         init = GlobalConfiguration(data["init"]["global"],
-                                   tuple(tuple(s) for s in data["init"]["stacks"]))
+                                   tuple(map(tuple, stacks[0])))
         target = GlobalConfiguration(data["target"]["global"],
-                                     tuple(tuple(s) for s in data["target"]["stacks"]))
-    except (KeyError, IndexError, TypeError) as exc:
+                                     tuple(map(tuple, stacks[1])))
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed network description: {exc}") from None
     return pdn, init, target
 

@@ -14,7 +14,7 @@ import re
 from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, count, product
+from itertools import chain, product
 from operator import add, attrgetter, ge, itemgetter, or_, sub
 
 from . import diophantine
@@ -142,16 +142,10 @@ class LinearSet:
 
 @dataclass(frozen=True)
 class SemilinearSet:
-    """A finite union of linear sets, kept sorted.  Two hints that are not
-    fields, so equality and hash ignore them: ``_pruned`` marks a set whose
-    components no step of _prune_pairs would drop or merge (any set of at
-    most one component, and what prune and sl_minkowski return), and
-    ``_parts`` holds the sets sl_union joined."""
+    """A finite union of linear sets, kept sorted and free of repeats."""
 
     dim: int
     components: tuple[LinearSet, ...]
-    _pruned = False
-    _parts = ()
 
     def __post_init__(self):
         for c in self.components:
@@ -160,8 +154,6 @@ class SemilinearSet:
         comps = tuple(sorted(set(self.components),
                              key=lambda l: (l.constant, l.periods)))
         object.__setattr__(self, "components", comps)
-        if len(comps) < 2:
-            object.__setattr__(self, "_pruned", True)
 
     def is_empty(self) -> bool:
         return not self.components
@@ -192,17 +184,14 @@ def sl_singleton(v: Vec) -> SemilinearSet:
 
 
 def sl_union(*sets: SemilinearSet) -> SemilinearSet:
-    """The union; it keeps its parts, so that prune of it tests no pair of
-    components from one pruned part."""
+    """The union, unpruned."""
     dim = sets[0].dim
     comps: list[LinearSet] = []
     for s in sets:
         if s.dim != dim:
             raise InputError("dimension mismatch in union")
         comps.extend(s.components)
-    out = SemilinearSet(dim, tuple(comps))
-    object.__setattr__(out, "_parts", sets)
-    return out
+    return SemilinearSet(dim, tuple(comps))
 
 
 def _lin_minkowski(a: LinearSet, b: LinearSet) -> LinearSet:
@@ -230,10 +219,8 @@ def sl_minkowski(a: SemilinearSet, b: SemilinearSet) -> SemilinearSet:
         a, b = b, a
     if _is_point(a):
         (t,) = a.components
-        out = SemilinearSet(a.dim, tuple(_lin_minkowski(x, t)
-                                         for x in prune(b).components))
-        object.__setattr__(out, "_pruned", True)
-        return out
+        return SemilinearSet(a.dim, tuple(_lin_minkowski(x, t)
+                                          for x in prune(b).components))
     comps = tuple(_lin_minkowski(x, y) for x in a.components for y in b.components)
     return prune(SemilinearSet(a.dim, comps))
 
@@ -247,8 +234,6 @@ def _lin_star(a: LinearSet) -> SemilinearSet:
 
 def sl_star(s: SemilinearSet) -> SemilinearSet:
     """Finite sums of elements; star distributes over union commutatively."""
-    if s.dim == 0:
-        return SemilinearSet(0, (LinearSet((), ()),))
     out = sl_singleton((0,) * s.dim)
     for comp in s.components:
         out = sl_minkowski(out, _lin_star(comp))
@@ -344,15 +329,15 @@ def _prune_key(cw) -> tuple:
 
 
 class _Entry:
-    """A component in _prune_pairs: its payload and group, the merge
-    generation that made it (0: an input), and the generation by which it
-    has been tried as the first of a merge pair against every later
-    component (-1: not yet)."""
+    """A component in _prune_pairs: its payload, the merge generation that
+    made it (0: an input), and the generation by which it has been tried as
+    the first of a merge pair against every later component (-1: not
+    yet)."""
 
-    __slots__ = ("comp", "payload", "group", "born", "scanned", "key")
+    __slots__ = ("comp", "payload", "born", "scanned", "key")
 
-    def __init__(self, comp: LinearSet, payload, group: int, born: int = 0):
-        self.comp, self.payload, self.group = comp, payload, group
+    def __init__(self, comp: LinearSet, payload, born: int = 0):
+        self.comp, self.payload = comp, payload
         self.born, self.scanned = born, -1
         self.key = _lin_key(comp)
 
@@ -360,7 +345,7 @@ class _Entry:
 _entry_key = attrgetter("key")
 
 
-def _prune_pairs(pairs: list, group: dict | None = None) -> list:
+def _prune_pairs(pairs: list) -> list:
     """Pruning core on (LinearSet, payload) pairs: drop components provably
     contained in a kept one and apply exact pairwise merges until stable; a
     merge keeps the payload of the component providing the constant.  The
@@ -377,8 +362,8 @@ def _prune_pairs(pairs: list, group: dict | None = None) -> list:
     Kept components sit in buckets by period set.  Both tests need the
     first component's periods inside the second's span, so a bucket is
     passed or skipped whole, on one mask test and one cached span
-    containment per period set asked about in this call.  Zero masks,
-    constant weights and groups reject most remaining pairs before a call.
+    containment per period set asked about in this call.  Zero masks and
+    constant weights reject most remaining pairs before a call.
 
     Lemma: for every ordered pair (a, b) of distinct components in the
     result, _lin_subsumed(a, b) and _merge_pair(a, b) both fail.  It is
@@ -391,8 +376,7 @@ def _prune_pairs(pairs: list, group: dict | None = None) -> list:
     then either b came first, as before, or a did and b dropped it from
     their run when b was kept.  The same argument with a = b, as
     _lin_subsumed(a, a) holds, shows that no two components of the result
-    are equal.  Skipping tests that cannot succeed, as below, changes
-    nothing in this run.
+    are equal.
 
     A merge of a and b into m neither restarts the scans nor rescans: it
     removes a, b and every kept component that m subsumes, inserts m at its
@@ -407,8 +391,7 @@ def _prune_pairs(pairs: list, group: dict | None = None) -> list:
       when the span searches are complete: the constants are equal, a's
       support and periods lie within m's, and span(a.periods) is inside
       span(m.periods), which lies inside span(d.periods).  Since a and d
-      were both kept, that test failed, or was skipped because both come
-      from one pruned input, where it fails by the lemma.
+      were both kept, that test failed.
     - So the subsumption scan from the start keeps every component it kept
       before but a, b and those m subsumes, and keeps m: before m in the
       order, only components of m's constant can be subsumed by m, and m
@@ -421,14 +404,7 @@ def _prune_pairs(pairs: list, group: dict | None = None) -> list:
     negative anyway.  So the lemma holds for any translate of a result, and
     _prune_pairs commutes with translation: the key order, every test and
     every merge move along with the constants.
-
-    ``group`` maps components of inputs known to be pruned to an input
-    index.  By the lemma, no test between two components of one input can
-    succeed, so such pairs are skipped.  Every other component, and every
-    merged one, gets a group of its own and is tested against everything.
     """
-    group = group or {}
-    own = count(-1, -1)
     payload: dict[LinearSet, object] = {}
     for l, w in pairs:
         payload.setdefault(l, w)
@@ -468,21 +444,19 @@ def _prune_pairs(pairs: list, group: dict | None = None) -> list:
             fresh.remove(e)
 
     for c in sorted(payload, key=_lin_key):
-        g = group[c] if c in group else next(own)
         zeros = c._zeros  # a subsumer's constant is zero where c's is
-        if any(d.group != g and not zeros & ~d.comp._zeros
-               and _lin_subsumed(c, d.comp) for d in spanning(c._gens)):
+        if any(not zeros & ~d.comp._zeros and _lin_subsumed(c, d.comp)
+               for d in spanning(c._gens)):
             continue
         run = len(kept)
         while run and kept[run - 1].comp.constant == c.constant:
             run -= 1
         if run < len(kept):
             sig = c._sub_sig  # spares most pairs the call to _lin_subsumed
-            for d in [d for d in kept[run:] if d.group != g
-                      and not d.comp._sub_sig & ~sig
+            for d in [d for d in kept[run:] if not d.comp._sub_sig & ~sig
                       and _lin_subsumed(d.comp, c)]:
                 drop(d)
-        keep(_Entry(c, payload[c], g), len(kept))
+        keep(_Entry(c, payload[c]), len(kept))
 
     generation = 0
     i = 0
@@ -495,8 +469,8 @@ def _prune_pairs(pairs: list, group: dict | None = None) -> list:
         # after a, and b zero where a is not makes d negative somewhere.
         # Nor can b share a's period set: the merge needs d in span(b's
         # periods) = span(a's), and then _lin_subsumed(b, a) would hold.
-        tried = [b for b in pool if b.group != a.group
-                 and c._csum < b.comp._csum and not b.comp._zeros & ~c._zeros
+        tried = [b for b in pool
+                 if c._csum < b.comp._csum and not b.comp._zeros & ~c._zeros
                  and b.comp._gens is not c._gens]
         tried.sort(key=_entry_key)
         for b in tried:
@@ -510,7 +484,7 @@ def _prune_pairs(pairs: list, group: dict | None = None) -> list:
         generation += 1
         for d in (a, b):
             drop(d)
-        merged = _Entry(m, a.payload, next(own), generation)
+        merged = _Entry(m, a.payload, generation)
         for d in [d for gens, members in buckets.items()
                   if within(gens, m._gens) for d in members
                   if not d.comp._sub_sig & ~m._sub_sig
@@ -526,22 +500,10 @@ def _prune_pairs(pairs: list, group: dict | None = None) -> list:
 def prune(s: SemilinearSet) -> SemilinearSet:
     """The same set from no more components (a sound reduction, not a normal
     form; see _prune_pairs).  Memoised: the result depends on the component
-    set alone, since _prune_pairs sorts by a total key.
-
-    A set already pruned is returned as it is, which by the lemma of
-    _prune_pairs is what pruning it would give.  For a union, no pair of
-    components from one pruned part is tested."""
-    if s._pruned:
-        return s
-    group: dict = {}
-    for i, part in enumerate(s._parts):
-        if part._pruned:
-            for c in part.components:
-                group.setdefault(c, i)
-    kept = _prune_pairs([(c, None) for c in s.components], group)
-    out = SemilinearSet(s.dim, tuple(c for c, _ in kept))
-    object.__setattr__(out, "_pruned", True)
-    return out
+    set alone, since _prune_pairs sorts by a total key.  By the lemma of
+    _prune_pairs, pruning a pruned set gives an equal set."""
+    kept = _prune_pairs([(c, None) for c in s.components])
+    return SemilinearSet(s.dim, tuple(c for c, _ in kept))
 
 
 def wit_singleton(vec, word: Word) -> WitnessedSemilinear:

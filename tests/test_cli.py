@@ -264,3 +264,12 @@ def test_bad_input_exits_2(files, capsys):
     assert main(["parikh", "/nonexistent/file"]) == 2
     bad = files("bad.txt", "no productions here")
     assert main(["parikh", bad]) == 2
+    assert main(["parikh", files("empty-alt.txt", "S -> a S |\n")]) == 2
+    assert "empty alternative" in capsys.readouterr().err
+    for k in ("0", "-1"):
+        assert main(["reach-pdn", "--family", k]) == 2
+        assert "family instances require k >= 1" in capsys.readouterr().err
+    net = json.loads(pdn_to_json(*family_instance(1)))
+    net["globals"] = "".join(net["globals"])
+    assert main(["reach-pdn", files("net.json", json.dumps(net))]) == 2
+    assert "must be lists" in capsys.readouterr().err

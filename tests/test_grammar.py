@@ -105,6 +105,10 @@ def test_parse_errors():
         parse_grammar("no arrow here")
     with pytest.raises(InputError):
         parse_grammar("start Z\nS -> a\n")
+    # the empty word is written eps, never as an empty alternative
+    for text in ("S -> a S |", "S -> a || b", "S ->", "S -> | a"):
+        with pytest.raises(InputError, match="empty alternative"):
+            parse_grammar(text)
 
 
 def test_trim_removes_useless_variables():

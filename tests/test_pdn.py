@@ -1,3 +1,7 @@
+import json
+from functools import reduce
+from operator import getitem
+
 import pytest
 
 from helpers import Budget
@@ -125,3 +129,18 @@ def test_json_round_trip():
         pdn_from_json("not json")
     with pytest.raises(InputError):
         pdn_from_json("{}")
+    # a string where a list belongs, or a rule without 4 fields
+    good = json.loads(pdn_to_json(*family_instance(1)))
+    for path, bad in ((("globals",), "t0t1f0f1"), (("stack_alphabet",), "JZW"),
+                      (("threads",), "x"), (("threads", 0), "x"),
+                      (("threads", 0, 0), "f0Jt1J"),
+                      (("threads", 0, 0, 3), "J"),
+                      (("threads", 0, 0), ["f0", "J", "t1"]),
+                      (("threads", 0, 0), ["f0", "J", "t1", ["J"], "x"]),
+                      (("init", "stacks"), "JZ"), (("init", "stacks", 0), "JZ"),
+                      (("target", "stacks", 1), "")):
+        data = json.loads(json.dumps(good))
+        *outer, last = path
+        reduce(getitem, outer, data)[last] = bad
+        with pytest.raises(InputError, match="must be lists"):
+            pdn_from_json(json.dumps(data))
