@@ -23,11 +23,11 @@ from .semilinear import (LinearSet, SemilinearSet, WitnessedSemilinear,  # noqa
 from .newton import (KFoldComposition, build_kfold,  # noqa,E402
                      differential_grammar, materialize_iterate,
                      suggested_depth)
-from .boundedgen import (LinearDecomposition, algorithm1_bounded_sequence,  # noqa
-                         bounded_for_linear, bounded_for_powers,
-                         bounded_for_regex, bounded_for_substitution,
-                         bounded_subset, decompose_linear,
-                         parikh_equivalent_bounded, verify_parikh_property)
+from .boundedgen import (algorithm1_bounded_sequence, bounded_for_linear,  # noqa
+                         bounded_for_powers, bounded_for_regex,
+                         bounded_for_substitution, bounded_subset,
+                         decompose_linear, parikh_equivalent_bounded,
+                         verify_parikh_property)
 from .intersect import (IntersectionInstance, IntersectionResult,  # noqa,E402
                         IterationState, intersect_modulo, progress_trace,
                         refine, semi_algorithm)

@@ -12,7 +12,6 @@ grammar's terminals, so a level is a step of a loop, not an alphabet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 from .errors import SoundnessError
@@ -28,19 +27,13 @@ from .symbols import (Alphabet, ElementaryBounded, Nfa, Regex, REmpty, REpsilon,
 
 def verify_parikh_property(g: Cfg, b: ElementaryBounded, max_length: int) -> bool:
     """Enumeration check: every word of L(g) up to max_length has a commutative
-    mate inside L(g) intersect B.  Mates preserve length, so a per-length
-    comparison of Parikh sets is exact."""
+    mate inside L(g) intersect B.  A Parikh vector's entries sum to its
+    word's length, so comparing the two sets of vectors is exact."""
     sigma = g.terminals
     nfa = eb_to_nfa(b, sigma)
     words = enumerate_words(g, max_length)
-    by_len_all: dict[int, set] = {}
-    by_len_in: dict[int, set] = {}
-    for w in words:
-        vec = parikh_of_word(w, sigma)
-        by_len_all.setdefault(len(w), set()).add(vec)
-        if nfa.accepts(w):
-            by_len_in.setdefault(len(w), set()).add(vec)
-    return all(by_len_all[n] <= by_len_in.get(n, set()) for n in by_len_all)
+    return ({parikh_of_word(w, sigma) for w in words}
+            <= {parikh_of_word(w, sigma) for w in words if nfa.accepts(w)})
 
 
 def bounded_for_powers(g: Cfg, b: ElementaryBounded) -> ElementaryBounded:
@@ -115,66 +108,41 @@ def bounded_for_regex(r: Regex, sigma: Alphabet) -> ElementaryBounded:
 # Linear languages
 
 
-@dataclass(frozen=True)
-class LinearDecomposition:
-    """L(lg) = h(R ~R-reversed) shape: an NFA over production letters together
-    with the homomorphism h mapping p to the part left of the variable and ~p
-    to the part right of it."""
+def decompose_linear(lg: LinearGrammar
+                     ) -> tuple[Nfa, dict[str, tuple[Word, Word]]]:
+    """An NFA over production letters and the two sides of each letter.
 
-    nfa: Nfa
-    letters: Alphabet
-    h: tuple[tuple[str, Word], ...]
-    tilde: tuple[tuple[str, str], ...]
-
-    def image(self, w: Word) -> Word:
-        mapping = dict(self.h)
-        out: Word = ()
-        for a in w:
-            out += tuple(mapping[a])
-        return out
-
-    def tilde_reverse(self, w: Word) -> Word:
-        t = dict(self.tilde)
-        return tuple(t[a] for a in reversed(w))
-
-
-def decompose_linear(lg: LinearGrammar) -> LinearDecomposition:
+    The NFA accepts the production sequences p1..pm of lg's derivations.
+    With sides[p] = (the words left of p's variable, those right of it),
+    such a derivation yields the left sides of p1..pm in order, then the
+    right sides of pm..p1.  A terminal production's whole right-hand side
+    is its left side."""
     lg = trim(lg)
     final = "#qf"
-    letters = []
-    h: list[tuple[str, Word]] = []
-    tilde = []
+    sides: dict[str, tuple[Word, Word]] = {}
     transitions = set()
     for i, (lhs, rhs) in enumerate(lg.sorted_productions()):
-        p, tp = f"p{i}", f"~p{i}"
-        letters.append(p)
-        tilde.append((p, tp))
-        var_positions = [j for j, s in enumerate(rhs) if s in lg.variables]
-        if var_positions:
-            j = var_positions[0]
-            h.append((p, tuple(rhs[:j])))
-            h.append((tp, tuple(rhs[j + 1:])))
-            transitions.add((lhs, p, rhs[j]))
-        else:
-            h.append((p, tuple(rhs)))
-            h.append((tp, ()))
-            transitions.add((lhs, p, final))
-    nfa = Nfa(frozenset(lg.variables | {final}), alphabet(letters),
+        p = f"p{i}"
+        j = next((j for j, s in enumerate(rhs) if s in lg.variables), len(rhs))
+        sides[p] = (tuple(rhs[:j]), tuple(rhs[j + 1:]))
+        transitions.add((lhs, p, rhs[j] if j < len(rhs) else final))
+    nfa = Nfa(frozenset(lg.variables | {final}), alphabet(sides),
               frozenset(transitions), frozenset({lg.start}), frozenset({final}))
-    return LinearDecomposition(nfa, alphabet(letters), tuple(h), tuple(tilde))
+    return nfa, sides
 
 
 def bounded_for_linear(lg: LinearGrammar) -> ElementaryBounded:
-    """w1*..wm* ~wm*..~w1* pattern: images of a bounded language for the
-    production-letter NFA, followed by the tilde-reversed images backwards."""
+    """From a bounded language w1*..wm* of the production sequences: the
+    left sides of each wi, over w1..wm, then the right sides of each wi
+    read backwards, over wm..w1."""
     lg = trim(lg)
     if not lg.productions:
         return eb([])
-    dec = decompose_linear(lg)
-    regex = nfa_to_regex(dec.nfa)
-    base = bounded_for_regex(regex, dec.letters)
-    forward = [dec.image(w) for w in base.words]
-    backward = [dec.image(dec.tilde_reverse(w)) for w in reversed(base.words)]
+    nfa, sides = decompose_linear(lg)
+    base = bounded_for_regex(nfa_to_regex(nfa), nfa.alphabet)
+    forward = [tuple(a for p in w for a in sides[p][0]) for w in base.words]
+    backward = [tuple(a for p in reversed(w) for a in sides[p][1])
+                for w in reversed(base.words)]
     return eb(forward + backward)
 
 
@@ -194,6 +162,8 @@ def bounded_for_substitution(b: ElementaryBounded,
     the concatenation B1 ... Bk covers the substituted language.  Two sound
     shortcuts: a word whose letters are all unmapped substitutes to itself,
     and a word containing an empty-language letter contributes nothing.
+    They are there for speed: each skips the Minkowski sums of the word's
+    images, which give the same Bi.
 
     Each distinct word is substituted once.  ``memo`` may carry that work
     across calls: it maps each word to its Bi, and each mapped letter to

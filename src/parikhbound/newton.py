@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .grammar import Cfg, LinearGrammar, trim
-from .semilinear import newton_depth
+from .semilinear import _newton
 from .symbols import Word, alphabet
 
 
@@ -74,11 +74,11 @@ def build_kfold(g: Cfg, depth: int | None = None) -> KFoldComposition:
 
 
 def suggested_depth(g: Cfg) -> int:
-    """A depth d with Parikh(nu_d) = Parikh(L): the staged Newton bound of
-    the semilinear iteration (newton_depth), at most |variables|.  It is an
-    upper bound, not the smallest such d, and it is not checked against
-    the iterate."""
-    return newton_depth(g)
+    """A depth d with Parikh(nu_d) = Parikh(L): the stabilization depth that
+    the staged semilinear Newton iteration reports for the start variable,
+    at most |variables|.  It is an upper bound, not the smallest such d,
+    and it is not checked against the iterate."""
+    return _newton(trim(g))[1]
 
 
 def materialize_iterate(kf: KFoldComposition, x: str, k: int | None = None) -> Cfg:

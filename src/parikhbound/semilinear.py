@@ -737,11 +737,22 @@ def _monomials(g: Cfg):
 
 def _eval_monomial(vec: Vec, occs, val: dict[str, SemilinearSet],
                    dim: int) -> SemilinearSet:
+    if any(val[y].is_empty() for y in occs):
+        return sl_empty(dim)
     out = sl_singleton(vec)
     for y in occs:
-        if val[y].is_empty():
-            return sl_empty(dim)
         out = sl_minkowski(out, val[y])
+    return out
+
+
+def _eval_block(order, mons, val: dict[str, SemilinearSet],
+                dim: int) -> dict[str, SemilinearSet]:
+    """F(val) on a block: per variable, the pruned union of its monomials."""
+    out = {}
+    for x in order:
+        parts = [_eval_monomial(vec, occs, val, dim) for vec, occs in mons[x]]
+        parts = [p for p in parts if not p.is_empty()]
+        out[x] = prune(sl_union(*parts)) if parts else sl_empty(dim)
     return out
 
 
@@ -866,23 +877,15 @@ def _newton(g: Cfg) -> tuple[tuple[tuple[str, SemilinearSet], ...], int]:
         in_block = set(block)
         inherited = max((depth_at[y] for x in order for y in deps[x]
                          if y not in in_block), default=0)
-        kappa = dict(values)
-        for x in order:
-            base = [_eval_monomial(vec, occs, values, dim)
-                    for vec, occs in mons[x]
-                    if not any(o in in_block for o in occs)]
-            base = [p for p in base if not p.is_empty()]
-            kappa[x] = prune(sl_union(*base)) if base else sl_empty(dim)
+        # kappa_0 = F(0): with the block's variables empty, every monomial
+        # that holds one of them evaluates to the empty set
+        kappa = {**values, **dict.fromkeys(order, sl_empty(dim))}
+        kappa.update(_eval_block(order, mons, kappa, dim))
         linear = all(sum(o in in_block for o in occs) <= 1
                      for x in order for _, occs in mons[x])
         steps = 0
         for _ in range(min(2, len(order)) if linear else len(order)):
-            rhs = {}
-            for x in order:
-                parts = [_eval_monomial(vec, occs, kappa, dim)
-                         for vec, occs in mons[x]]
-                parts = [p for p in parts if not p.is_empty()]
-                rhs[x] = prune(sl_union(*parts)) if parts else sl_empty(dim)
+            rhs = _eval_block(order, mons, kappa, dim)
             matrix = {}
             for x in order:
                 for vec, occs in mons[x]:
@@ -921,13 +924,6 @@ def parikh_semilinear(g: Cfg) -> SemilinearSet:
     g = trim(g)
     per_var, _ = _newton(g)
     return dict(per_var)[g.start]
-
-
-def newton_depth(g: Cfg) -> int:
-    """The staged Newton bound of _newton: a number of Newton steps after
-    which the iterate's Parikh image is that of L(g); at most |variables|,
-    and not always the least such number."""
-    return _newton(trim(g))[1]
 
 
 def witness_for_vector(g: Cfg, v) -> Word | None:

@@ -93,7 +93,7 @@ class ElementaryBounded:
 
 
 def eb(words) -> ElementaryBounded:
-    return ElementaryBounded(tuple(tuple(w) for w in words))
+    return ElementaryBounded(tuple(words))
 
 
 def eb_concat(*parts: ElementaryBounded) -> ElementaryBounded:

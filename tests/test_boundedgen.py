@@ -1,3 +1,7 @@
+import hashlib
+from functools import reduce
+from itertools import product as iproduct
+
 from helpers import (ANBN, DYCK1, G_EX, PALIN, eb_words,
                      full_corpus, per_length_parikh,
                      reference_bounded_for_substitution,
@@ -10,8 +14,10 @@ from parikhbound import (LinearGrammar, alphabet, bounded_for_linear,
                          parse_grammar, trim, verify_parikh_property)
 from parikhbound import boundedgen
 from parikhbound.boundedgen import bounded_for_substitution
-from parikhbound.grammar import cfg, concat_grammars, finite_cfg
+from parikhbound.grammar import (cfg, concat_grammars, finite_cfg,
+                                 is_empty_language)
 from parikhbound.pdn import acceptor_to_cfg, encode_to_acceptors
+from parikhbound.semilinear import wit_minkowski, wit_singleton
 from parikhbound.symbols import RStar, RSym, parikh_of_word, rconcat, runion
 
 AB = alphabet(["a", "b"])
@@ -44,16 +50,22 @@ def test_bounded_for_regex():
 def test_decompose_linear_reconstructs_words():
     lg = LinearGrammar(PALIN.variables, PALIN.terminals, PALIN.productions,
                        PALIN.start)
-    dec = decompose_linear(lg)
+    nfa, sides = decompose_linear(lg)
     lang = set(enumerate_words(trim(PALIN), 6))
-    # h(p1..pm ~pm..~p1) for every accepted NFA word p1..pm is in the language
-    from itertools import product as iproduct
-    for length in range(0, 4):
-        for w in iproduct(dec.letters.symbols, repeat=length):
-            if dec.nfa.accepts(w):
-                full = dec.image(w) + dec.image(dec.tilde_reverse(w))
+    # the left sides of p1..pm, then the right sides of pm..p1, for every
+    # accepted production word p1..pm
+    rebuilt = set()
+    for length in range(0, 5):
+        for w in iproduct(nfa.alphabet.symbols, repeat=length):
+            if nfa.accepts(w):
+                full = (tuple(a for p in w for a in sides[p][0])
+                        + tuple(a for p in reversed(w) for a in sides[p][1]))
                 if len(full) <= 6:
                     assert full in lang, (w, full)
+                    rebuilt.add(full)
+    # and every word up to length 6 comes from a production word of length
+    # at most 4: three letters for its three letter pairs, one for P -> eps
+    assert rebuilt == lang
 
 
 def test_bounded_for_linear_on_palindromes():
@@ -181,6 +193,46 @@ def test_substitution_matches_word_by_word_reference(monkeypatch):
                         reference_bounded_for_substitution)
     for g, words in zip(grammars, fast):
         assert parikh_equivalent_bounded(g).words == words
+
+
+def test_bounded_languages_match_their_pinned_digest():
+    # SHA-256 of the repr of every B: a change to any of these bounded
+    # languages shows here
+    digest = hashlib.sha256()
+    for g in corpus_and_acceptors():
+        digest.update(repr(parikh_equivalent_bounded(g)).encode() + b"\n")
+    assert digest.hexdigest() \
+        == "719f15b13c6b18f592d23e7c6541101b0150fdf84666e7a3c2ce7e1ff34e7871"
+
+
+def test_substitution_shortcuts_match_the_general_path(monkeypatch):
+    calls = []
+    substitute = boundedgen.bounded_for_substitution
+
+    def recording(*args):
+        calls.append(args)
+        return substitute(*args)
+
+    monkeypatch.setattr(boundedgen, "bounded_for_substitution", recording)
+    parikh_equivalent_bounded(G_EX)
+    # the level-0 call: X1 has no terminal-only right-hand side, so the
+    # language of v_X1 is empty
+    b, sigma_map, tau_map, out_alphabet = calls[-1][:4]
+    assert is_empty_language(sigma_map["v_X1"])
+    memo: dict = {}
+    substitute(b, sigma_map, tau_map, out_alphabet, memo)
+    unmapped = empty = 0
+    for wi in dict.fromkeys(b.words):
+        parts = [parikh_image(sigma_map[a]) if a in sigma_map
+                 else wit_singleton(parikh_of_word((a,), out_alphabet), (a,))
+                 for a in wi]
+        ti = eb_concat(*[tau_map.get(a, eb([(a,)])) for a in wi])
+        general = boundedgen._powers_from_image(reduce(wit_minkowski, parts),
+                                                ti)
+        assert memo[wi] == general, wi
+        unmapped += all(a not in sigma_map for a in wi)
+        empty += "v_X1" in wi
+    assert (len(dict.fromkeys(b.words)), unmapped, empty) == (8, 2, 4)
 
 
 def test_only_the_start_variables_chain_is_substituted(monkeypatch):
