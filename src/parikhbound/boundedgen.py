@@ -160,10 +160,11 @@ def bounded_for_substitution(b: ElementaryBounded,
     For each word wi of b, the language Li substitutes every letter of wi
     (unmapped letters stand for themselves) and Bi handles all powers of Li;
     the concatenation B1 ... Bk covers the substituted language.  Two sound
-    shortcuts: a word whose letters are all unmapped substitutes to itself,
-    and a word containing an empty-language letter contributes nothing.
-    They are there for speed: each skips the Minkowski sums of the word's
-    images, which give the same Bi.
+    shortcuts, in this order: a word with an empty-language letter gives
+    nothing, and one whose letters each have a single-vector image (an
+    unmapped letter's is its own vector) gives their witnesses in a row,
+    as one vector has no periods to chain.  They are there for speed: each
+    skips the Minkowski sums of the word's images, which give the same Bi.
 
     Each distinct word is substituted once.  ``memo`` may carry that work
     across calls: it maps each word to its Bi, and each mapped letter to
@@ -190,13 +191,17 @@ def bounded_for_substitution(b: ElementaryBounded,
     for wi in dict.fromkeys(b.words):
         if wi in memo:
             continue
-        if all(a not in sigma_map for a in wi):
-            memo[wi] = eb([wi])
-        elif any(a in sigma_map and empty(a) for a in wi):
+        if any(a in sigma_map and empty(a) for a in wi):
             memo[wi] = eb([])
+            continue
+        images = [part(a) for a in wi]
+        if all(len(p.components) == 1 and not p.components[0][0].periods
+               for p in images):
+            word = tuple(a for p in images for a in p.components[0][1])
+            memo[wi] = eb([word])
         else:
             # Parikh(Li) is the Minkowski sum of the per-letter images
-            image = reduce(wit_minkowski, map(part, wi))
+            image = reduce(wit_minkowski, images)
             ti = eb_concat(*[tau_map.get(a, eb([(a,)])) for a in wi])
             memo[wi] = _powers_from_image(image, ti)
     return eb_concat(*map(memo.__getitem__, b.words))
@@ -222,31 +227,30 @@ def algorithm1_bounded_sequence(kf: KFoldComposition,
     level down.  Level 0 maps v_Y to the terminal-only right-hand sides of
     Y.  Only root's chain is substituted: the maps come from the
     differential grammar and btilde alone, so the other chains cannot
-    change root's.  ``trace`` receives (level, B) per level."""
+    change root's.  ``trace`` receives (level, B) per level, the last one
+    ("final", B) even at depth 0."""
+    record = trace.append if trace is not None else lambda entry: None
     if kf.depth == 0:
-        return eb(kf.base_words(root))
+        result = eb(kf.base_words(root))
+        record(("final", result))
+        return result
     gt = kf.differential
     variables = sorted(kf.base.variables)
     sig = {v_symbol(y): Cfg(gt.variables, gt.terminals, gt.productions, y)
            for y in variables}
     tau = {v_symbol(y): btilde[y] for y in variables}
     memo: dict = {}
-
-    def record(level, b: ElementaryBounded) -> None:
-        if trace is not None:
-            trace.append((level, b))
-
     current = btilde[root]
-    record(kf.depth - 1, current)
+    record((kf.depth - 1, current))
     for i in range(kf.depth - 2, -1, -1):
         current = bounded_for_substitution(current, sig, tau, gt.terminals, memo)
-        record(i, current)
+        record((i, current))
     base_sigma = kf.base.terminals
     sig0 = {v_symbol(y): finite_cfg(list(kf.base_words(y)), base_sigma)
             for y in variables}
     tau0 = {v_symbol(y): eb(kf.base_words(y)) for y in variables}
     result = bounded_for_substitution(current, sig0, tau0, base_sigma)
-    record("final", result)
+    record(("final", result))
     return result
 
 

@@ -720,9 +720,10 @@ def sl_from_text(text: str, dim: int | None = None) -> SemilinearSet:
 
 
 def _monomials(g: Cfg):
-    """Per variable: list of (terminal Parikh vector, variable occurrence tuple)."""
+    """Per variable: list of (terminal Parikh vector as a singleton set,
+    variable occurrence tuple)."""
     dim = len(g.terminals)
-    mons: dict[str, list[tuple[Vec, tuple[str, ...]]]] = {x: [] for x in g.variables}
+    mons: dict[str, list] = {x: [] for x in g.variables}
     for lhs, rhs in g.sorted_productions():
         counts = [0] * dim
         occs = []
@@ -731,15 +732,15 @@ def _monomials(g: Cfg):
                 occs.append(s)
             else:
                 counts[g.terminals.index(s)] += 1
-        mons[lhs].append((tuple(counts), tuple(occs)))
+        mons[lhs].append((sl_singleton(counts), tuple(occs)))
     return mons
 
 
-def _eval_monomial(vec: Vec, occs, val: dict[str, SemilinearSet],
+def _eval_monomial(point: SemilinearSet, occs, val: dict[str, SemilinearSet],
                    dim: int) -> SemilinearSet:
     if any(val[y].is_empty() for y in occs):
         return sl_empty(dim)
-    out = sl_singleton(vec)
+    out = point
     for y in occs:
         out = sl_minkowski(out, val[y])
     return out
@@ -750,7 +751,7 @@ def _eval_block(order, mons, val: dict[str, SemilinearSet],
     """F(val) on a block: per variable, the pruned union of its monomials."""
     out = {}
     for x in order:
-        parts = [_eval_monomial(vec, occs, val, dim) for vec, occs in mons[x]]
+        parts = [_eval_monomial(p, occs, val, dim) for p, occs in mons[x]]
         parts = [p for p in parts if not p.is_empty()]
         out[x] = prune(sl_union(*parts)) if parts else sl_empty(dim)
     return out
@@ -857,7 +858,9 @@ def _newton(g: Cfg) -> tuple[tuple[tuple[str, SemilinearSet], ...], int]:
     it adds no vector, but its union re-expresses the components over the
     block's full period sets, and without it B has 5-16% more words on
     the acceptor grammars of two-thread networks.  Other blocks iterate until a step adds
-    nothing, at most once per variable."""
+    nothing, at most once per variable.  An acyclic block, one variable
+    absent from its own monomials, takes no step: kappa_0 = F(0) is its
+    value, and a step returns it unchanged (by the lemma of _prune_pairs)."""
     g = trim(g)
     dim = len(g.terminals)
     all_vars = sorted(g.variables)
@@ -881,19 +884,22 @@ def _newton(g: Cfg) -> tuple[tuple[tuple[str, SemilinearSet], ...], int]:
         # that holds one of them evaluates to the empty set
         kappa = {**values, **dict.fromkeys(order, sl_empty(dim))}
         kappa.update(_eval_block(order, mons, kappa, dim))
-        linear = all(sum(o in in_block for o in occs) <= 1
-                     for x in order for _, occs in mons[x])
+        # per monomial, how many of the block's variables it holds
+        held = [sum(o in in_block for o in occs)
+                for x in order for _, occs in mons[x]]
+        linear = max(held) <= 1
         steps = 0
-        for _ in range(min(2, len(order)) if linear else len(order)):
+        for _ in range(0 if not any(held) else
+                       min(2, len(order)) if linear else len(order)):
             rhs = _eval_block(order, mons, kappa, dim)
             matrix = {}
             for x in order:
-                for vec, occs in mons[x]:
+                for point, occs in mons[x]:
                     for i, y in enumerate(occs):
                         if y not in in_block:
                             continue
                         others = occs[:i] + occs[i + 1:]
-                        term = _eval_monomial(vec, others, kappa, dim)
+                        term = _eval_monomial(point, others, kappa, dim)
                         if term.is_empty():
                             continue
                         cur = matrix.get((x, y))
@@ -934,7 +940,10 @@ def witness_for_vector(g: Cfg, v) -> Word | None:
     snapshot lengths it joined on its last pass (joined[r]), in an
     unchanged loop order.  Those pairs were tried already; the table only
     grows, in insertion order, so they would insert nothing, and the first
-    word found for each vector stays the same."""
+    word found for each vector stays the same.  A vector is packed into one
+    int, a field of ``width`` bits per coordinate with a guard bit on top.
+    The table's vectors are dominated by v, so a sum of two stays below the
+    guards, and s <= v exactly when top - s clears no guard."""
     v = tuple(v)
     g = trim(g)
     if len(v) != len(g.terminals):
@@ -942,14 +951,17 @@ def witness_for_vector(g: Cfg, v) -> Word | None:
     cnf = to_cnf(g)
     if not any(v):
         return () if cnf.eps_in_language else None
+    if min(v) < 0:
+        return None
+    width = max(v).bit_length() + 2
+    packed = sum(x << width * i for i, x in enumerate(v))
+    guards = sum(1 << width * i + width - 1 for i in range(len(v)))
+    top = packed | guards
     index = {a: i for i, a in enumerate(g.terminals.symbols)}
-    table: dict[str, dict[Vec, Word]] = {}
+    table: dict[str, dict[int, Word]] = {}
     for x, a in cnf.unary:
-        if a not in index:
-            continue
-        e = tuple(1 if i == index[a] else 0 for i in range(len(v)))
-        if all(x1 <= x2 for x1, x2 in zip(e, v)):
-            table.setdefault(x, {})[e] = (a,)
+        if a in index and v[index[a]]:
+            table.setdefault(x, {})[1 << width * index[a]] = (a,)
     joined: dict[int, tuple[int, int]] = {}
     changed = True
     while changed:
@@ -964,12 +976,12 @@ def witness_for_vector(g: Cfg, v) -> Word | None:
             joined[r] = len(ys), len(zs)
             for i, (u1, w1) in enumerate(list(ys.items())):
                 for u2, w2 in list(zs.items())[old_z if i < old_y else 0:]:
-                    s = tuple(a + b for a, b in zip(u1, u2))
-                    if any(a > b for a, b in zip(s, v)) or s in cell:
+                    s = u1 + u2
+                    if (top - s) & guards != guards or s in cell:
                         continue
                     cell[s] = w1 + w2
                     changed = True
-    return table.get(cnf.start, {}).get(v)
+    return table.get(cnf.start, {}).get(packed)
 
 
 @lru_cache(maxsize=1 << 12)

@@ -106,15 +106,14 @@ def eb_concat(*parts: ElementaryBounded) -> ElementaryBounded:
     out: list[Word] = []
     for part in parts:
         for w in part.words:
-            if not out or not _is_power_of(w, out[-1]):
-                out.append(w)
-    return ElementaryBounded(tuple(out))
-
-
-def _is_power_of(y: Word, x: Word) -> bool:
-    if len(y) % len(x) != 0:
-        return False
-    return y == x * (len(y) // len(x))
+            if out:
+                n, r = divmod(len(w), len(out[-1]))
+                if not r and w == out[-1] * n:
+                    continue
+            out.append(w)
+    result = object.__new__(ElementaryBounded)  # words are nonempty tuples
+    object.__setattr__(result, "words", tuple(out))
+    return result
 
 
 def eb_to_text(b: ElementaryBounded) -> str:

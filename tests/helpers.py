@@ -16,8 +16,9 @@ from parikhbound import (Cfg, GlobalConfiguration, PushdownNetwork, eb,
 from parikhbound.boundedgen import bounded_for_linear, bounded_for_substitution
 from parikhbound.diophantine import solve_nonneg
 from parikhbound.grammar import (LinearGrammar, cfg, finite_cfg,
-                                 is_empty_language, simplify)
+                                 is_empty_language, simplify, to_cnf)
 from parikhbound.newton import build_kfold, suggested_depth, v_symbol
+from parikhbound.pdn import acceptor_to_cfg, encode_to_acceptors
 from parikhbound.semilinear import (lin_membership, linear_set, prune,
                                     sl_empty, sl_minkowski, sl_star, sl_union,
                                     wit_minkowski, wit_singleton)
@@ -158,6 +159,13 @@ def two_thread_networks() -> list:
     return out
 
 
+def corpus_and_acceptors():
+    """full_corpus() and the six acceptor grammars of two_thread_networks()."""
+    return full_corpus() + [acceptor_to_cfg(a)
+                            for net in two_thread_networks()
+                            for a in encode_to_acceptors(*net)]
+
+
 # ---------------------------------------------------------------------------
 # Reference constructions
 
@@ -264,6 +272,45 @@ def reference_solve_nonneg(columns, target):
         return None
 
     return rec(0, tuple(target))
+
+
+def reference_witness_for_vector(g, v):
+    """``witness_for_vector`` on tuples, before vectors were packed: the
+    same semi-naive join in the same loop order, so the same first word
+    for each vector."""
+    v = tuple(v)
+    g = trim(g)
+    cnf = to_cnf(g)
+    if not any(v):
+        return () if cnf.eps_in_language else None
+    index = {a: i for i, a in enumerate(g.terminals.symbols)}
+    table = {}
+    for x, a in cnf.unary:
+        if a not in index:
+            continue
+        e = tuple(1 if i == index[a] else 0 for i in range(len(v)))
+        if all(x1 <= x2 for x1, x2 in zip(e, v)):
+            table.setdefault(x, {})[e] = (a,)
+    joined = {}
+    changed = True
+    while changed:
+        changed = False
+        for r, (x, y, z) in enumerate(cnf.binary):
+            ys = table.get(y)
+            zs = table.get(z)
+            if not ys or not zs:
+                continue
+            cell = table.setdefault(x, {})
+            old_y, old_z = joined.get(r, (0, 0))
+            joined[r] = len(ys), len(zs)
+            for i, (u1, w1) in enumerate(list(ys.items())):
+                for u2, w2 in list(zs.items())[old_z if i < old_y else 0:]:
+                    s = tuple(a + b for a, b in zip(u1, u2))
+                    if any(a > b for a, b in zip(s, v)) or s in cell:
+                        continue
+                    cell[s] = w1 + w2
+                    changed = True
+    return table.get(cnf.start, {}).get(v)
 
 
 def reference_lin_subsumed(a, b) -> bool:

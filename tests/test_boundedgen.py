@@ -1,11 +1,12 @@
 import hashlib
+from collections import Counter
 from functools import reduce
 from itertools import product as iproduct
 
-from helpers import (ANBN, DYCK1, G_EX, PALIN, eb_words,
-                     full_corpus, per_length_parikh,
+from helpers import (ANBN, DYCK1, G_EX, PALIN, corpus_and_acceptors,
+                     eb_words, full_corpus, per_length_parikh,
                      reference_bounded_for_substitution,
-                     reference_parikh_equivalent_bounded, two_thread_networks)
+                     reference_parikh_equivalent_bounded)
 from parikhbound import (LinearGrammar, alphabet, bounded_for_linear,
                          bounded_for_powers, bounded_for_regex,
                          bounded_subset, cyk_membership, decompose_linear,
@@ -16,7 +17,6 @@ from parikhbound import boundedgen
 from parikhbound.boundedgen import bounded_for_substitution
 from parikhbound.grammar import (cfg, concat_grammars, finite_cfg,
                                  is_empty_language)
-from parikhbound.pdn import acceptor_to_cfg, encode_to_acceptors
 from parikhbound.semilinear import wit_minkowski, wit_singleton
 from parikhbound.symbols import RStar, RSym, parikh_of_word, rconcat, runion
 
@@ -179,13 +179,6 @@ def test_bounded_for_substitution_edge_cases():
     assert [sub(b1, memo), sub(b2, memo)] == [sub(b1), sub(b2)]
 
 
-def corpus_and_acceptors():
-    """full_corpus() and the six acceptor grammars of two_thread_networks()."""
-    return full_corpus() + [acceptor_to_cfg(a)
-                            for net in two_thread_networks()
-                            for a in encode_to_acceptors(*net)]
-
-
 def test_substitution_matches_word_by_word_reference(monkeypatch):
     grammars = corpus_and_acceptors()
     fast = [parikh_equivalent_bounded(g).words for g in grammars]
@@ -206,33 +199,48 @@ def test_bounded_languages_match_their_pinned_digest():
 
 
 def test_substitution_shortcuts_match_the_general_path(monkeypatch):
+    """Every word either shortcut takes gets the Bi of the general path,
+    the powers of the Minkowski sum of its letters' images, in every
+    substitution of the corpus and the acceptor grammars."""
     calls = []
     substitute = boundedgen.bounded_for_substitution
 
     def recording(*args):
-        calls.append(args)
+        calls.append(args[:4])
         return substitute(*args)
 
     monkeypatch.setattr(boundedgen, "bounded_for_substitution", recording)
     parikh_equivalent_bounded(G_EX)
     # the level-0 call: X1 has no terminal-only right-hand side, so the
     # language of v_X1 is empty
-    b, sigma_map, tau_map, out_alphabet = calls[-1][:4]
-    assert is_empty_language(sigma_map["v_X1"])
-    memo: dict = {}
-    substitute(b, sigma_map, tau_map, out_alphabet, memo)
-    unmapped = empty = 0
-    for wi in dict.fromkeys(b.words):
-        parts = [parikh_image(sigma_map[a]) if a in sigma_map
-                 else wit_singleton(parikh_of_word((a,), out_alphabet), (a,))
-                 for a in wi]
-        ti = eb_concat(*[tau_map.get(a, eb([(a,)])) for a in wi])
-        general = boundedgen._powers_from_image(reduce(wit_minkowski, parts),
-                                                ti)
-        assert memo[wi] == general, wi
-        unmapped += all(a not in sigma_map for a in wi)
-        empty += "v_X1" in wi
-    assert (len(dict.fromkeys(b.words)), unmapped, empty) == (8, 2, 4)
+    assert is_empty_language(calls[-1][1]["v_X1"])
+    g_ex = len(calls)
+    for g in corpus_and_acceptors():
+        parikh_equivalent_bounded(g)
+    counts = []
+    for b, sigma_map, tau_map, out_alphabet in calls:
+        memo: dict = {}
+        substitute(b, sigma_map, tau_map, out_alphabet, memo)
+        count = Counter()
+        for wi in dict.fromkeys(b.words):
+            parts = [parikh_image(sigma_map[a]) if a in sigma_map
+                     else wit_singleton(parikh_of_word((a,), out_alphabet),
+                                        (a,))
+                     for a in wi]
+            ti = eb_concat(*[tau_map.get(a, eb([(a,)])) for a in wi])
+            general = boundedgen._powers_from_image(
+                reduce(wit_minkowski, parts), ti)
+            assert memo[wi] == general, wi
+            count["words"] += 1
+            if any(not p.components for p in parts):
+                count["empty"] += 1
+            elif all(len(p.components) == 1 and not p.components[0][0].periods
+                     for p in parts):
+                count["single-vector"] += 1
+        counts.append(count)
+    assert counts[g_ex - 1] == {"words": 8, "empty": 4, "single-vector": 4}
+    assert sum(counts, Counter()) \
+        == {"words": 4982, "empty": 2524, "single-vector": 1881}
 
 
 def test_only_the_start_variables_chain_is_substituted(monkeypatch):

@@ -110,6 +110,20 @@ def test_bound_emit_proof_lists_the_start_variables_chain(files, capsys):
     assert all(line.split(": ", 1)[1].startswith('{"S": ') for line in levels)
 
 
+def test_bound_emit_proof_records_the_final_level_at_depth_zero(files, capsys):
+    # S is not recursive, so B is the right-hand sides and no level is
+    # substituted
+    path = files("g.txt", "start S\nS -> a b | b\n")
+    assert main(["--format", "json", "bound", path, "--emit-proof"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["bounded"] == ["a b", "b"]
+    assert payload["levels"] == [{"level": "final",
+                                  "bounded": {"S": ["a b", "b"]}}]
+    assert main(["bound", path, "--emit-proof"]) == 0
+    assert '# level final: {"S": ["a b", "b"]}' \
+        in capsys.readouterr().out.splitlines()
+
+
 def test_bound_verify_failure_still_prints_the_bounded_language(
         files, capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_parikh_property", lambda *args: False)

@@ -1,4 +1,5 @@
 import pickle
+import random
 from collections import Counter
 from functools import reduce
 from itertools import product
@@ -9,11 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (CORE_CORPUS, G_EX, expand_semilinear, full_corpus,
-                     naive_lin_member, parikh_vectors, random_corpus,
-                     random_linear_grammar, reference_lin_subsumed,
-                     reference_merge_pair, reference_minkowski_pairs,
-                     reference_prune_pairs, reference_solve_block)
+from helpers import (CORE_CORPUS, G_EX, corpus_and_acceptors,
+                     expand_semilinear, full_corpus, naive_lin_member,
+                     parikh_vectors, random_corpus, random_linear_grammar,
+                     reference_lin_subsumed, reference_merge_pair,
+                     reference_minkowski_pairs, reference_prune_pairs,
+                     reference_solve_block, reference_witness_for_vector)
 from parikhbound import (BudgetError, InputError, LinearSet, SemilinearSet,
                          cyk_membership, differential_grammar, linear_set,
                          parikh_image, parikh_semilinear, parikh_of_word,
@@ -22,6 +24,7 @@ from parikhbound import (BudgetError, InputError, LinearSet, SemilinearSet,
                          sl_membership, sl_to_text, trim, witness_for_vector)
 from parikhbound import semilinear
 from parikhbound.diophantine import solve_nonneg
+from parikhbound.grammar import regex_to_cfg
 from parikhbound.pdn import acceptor_to_cfg, encode_to_acceptors, family_instance
 from parikhbound.semilinear import (WitnessedSemilinear, _lin_minkowski,
                                     _lin_subsumed, _merge_pair, _merge_search,
@@ -29,6 +32,7 @@ from parikhbound.semilinear import (WitnessedSemilinear, _lin_minkowski,
                                     sl_empty, sl_minkowski, sl_singleton,
                                     sl_star,
                                     sl_union, wit_minkowski)
+from parikhbound.symbols import RStar, RSym, alphabet, rconcat, runion
 from test_caches import lru_caches
 
 vec2 = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -489,6 +493,44 @@ def per_variable_images(g):
     return dict(semilinear._newton(trim(g))[0])
 
 
+def test_an_acyclic_block_takes_no_newton_step(monkeypatch):
+    """A variable absent from its own monomials has kappa_0 = F(0) as its
+    value: the step it no longer takes, run on the values _newton returns,
+    gives each such value back.  A grammar without recursion solves no
+    block at all."""
+    ab = alphabet(["a", "b", "c"])
+    a, b, c = RSym("a"), RSym("b"), RSym("c")
+    regexes = [rconcat(a, runion(b, c)), rconcat(RStar(runion(a, b)), c),
+               runion(rconcat(a, RStar(rconcat(b, c))), RStar(a))]
+    finite = parse_grammar("start S\nS -> A B\nA -> a\nB -> b\n")
+    solves = []
+    solve = semilinear._solve_block
+
+    def counted(*args):
+        solves.append(args[0])
+        return solve(*args)
+
+    monkeypatch.setattr(semilinear, "_solve_block", counted)
+    acyclic = 0
+    for g in [regex_to_cfg(r, ab) for r in regexes] + [finite] + full_corpus():
+        t = trim(g)
+        mons = semilinear._monomials(t)
+        deps = {x: {y for _, occs in mons[x] for y in occs} for x in mons}
+        blocks = semilinear._scc_blocks(deps)
+        singles = [x for x, *rest in blocks if not rest and x not in deps[x]]
+        solves.clear()
+        values = per_variable_images(t)
+        if len(singles) == len(blocks):
+            assert not solves, g.start
+        for x in singles:
+            rhs = semilinear._eval_block([x], mons, values, len(t.terminals))
+            assert rhs[x] == values[x], x
+            stepped = solve([x], {}, rhs, len(t.terminals))[x]
+            assert prune(sl_union(stepped, values[x])) == values[x], x
+            acyclic += 1
+    assert acyclic >= 20
+
+
 def test_the_pivot_order_keeps_the_least_solution(monkeypatch):
     """Every pivot order gives the least solution of a block: the images
     of every variable agree with name-order elimination."""
@@ -514,6 +556,35 @@ def test_witness_for_vector_fixtures():
     assert w is not None and sorted(w) == ["a", "a", "b"]
     assert cyk_membership(G_EX, w)
     assert witness_for_vector(trim(G_EX), (0, 1)) is None
+
+
+def test_packed_witness_search_matches_the_tuple_reference():
+    """Packing the vectors into ints keeps every first-found word: on each
+    component constant, on small random vectors, and on vectors with an
+    entry of 256, one past the widest 8-bit field."""
+    rng = random.Random(26)
+    found_large = 0
+    for g in corpus_and_acceptors():
+        t = trim(g)
+        d = len(t.terminals)
+        vectors = [c.constant for c in parikh_semilinear(t).components]
+        vectors += [tuple(rng.randint(0, 3) for _ in range(d))
+                    for _ in range(8)]
+        large = []
+        for i in range(d):
+            v = [0] * d
+            v[i] = 256
+            large.append(tuple(v))
+            v[(i + 1) % d] += 1
+            large.append(tuple(v))
+        for v in vectors + large:
+            w = witness_for_vector(t, v)
+            assert w == reference_witness_for_vector(t, v), (g.start, v)
+            found_large += v in large and w is not None
+        for v in vectors[:2]:
+            assert witness_for_vector(t, (-1,) + v[1:]) is None
+            assert witness_for_vector(t, v[:-1] + (v[-1] - 300,)) is None
+    assert found_large >= 5
 
 
 def test_parikh_image_witnesses_are_members():
