@@ -19,12 +19,14 @@ from .grammar import (Cfg, LinearGrammar, enumerate_words, finite_cfg,
                       is_empty_language, product_with_dfa, regex_to_cfg, simplify,
                       trim)
 from .newton import KFoldComposition, build_kfold, suggested_depth, v_symbol
-from .semilinear import (WitnessedSemilinear, _spans_within, parikh_image,
-                         wit_minkowski, wit_singleton)
+from .semilinear import (WitnessedSemilinear, _spans_within, outermost,
+                         parikh_image, wit_minkowski, wit_singleton)
 from .symbols import (Alphabet, ElementaryBounded, Nfa, Regex, REmpty, REpsilon,
                       RSym, RConcat, RUnion, RStar, Word, alphabet, determinize,
                       eb, eb_concat, eb_to_nfa, nfa_to_regex, parikh_of_word)
 
+
+@outermost
 def verify_parikh_property(g: Cfg, b: ElementaryBounded, max_length: int) -> bool:
     """Enumeration check: every word of L(g) up to max_length has a commutative
     mate inside L(g) intersect B.  A Parikh vector's entries sum to its
@@ -202,7 +204,8 @@ def bounded_for_substitution(b: ElementaryBounded,
         else:
             # Parikh(Li) is the Minkowski sum of the per-letter images
             image = reduce(wit_minkowski, images)
-            ti = eb_concat(*[tau_map.get(a, eb([(a,)])) for a in wi])
+            ti = eb_concat(*[tau_map[a] if a in tau_map else eb([(a,)])
+                              for a in wi])
             memo[wi] = _powers_from_image(image, ti)
     return eb_concat(*map(memo.__getitem__, b.words))
 
@@ -258,6 +261,7 @@ def algorithm1_bounded_sequence(kf: KFoldComposition,
 # End-to-end entry points
 
 
+@outermost
 def parikh_equivalent_bounded(g: Cfg,
                               trace: list | None = None) -> ElementaryBounded:
     """An elementary bounded B over terminals(g) with
@@ -275,6 +279,7 @@ def parikh_equivalent_bounded(g: Cfg,
     return algorithm1_bounded_sequence(kf, btilde, g.start, trace)
 
 
+@outermost
 def bounded_subset(g: Cfg, b: ElementaryBounded | None = None) -> Cfg:
     """A grammar for L' = L(g) intersect B; L' is bounded, contained in L(g),
     and Parikh-equivalent to it."""

@@ -28,8 +28,8 @@ from .boundedgen import parikh_equivalent_bounded
 from .errors import BudgetError, InputError, ProgressNotReached, SoundnessError
 from .grammar import (Cfg, block_projection, cyk_membership, product_with_dfa,
                       simplify, trim, union_alphabets, with_alphabet)
-from .semilinear import (parikh_semilinear, sl_intersection_witness,
-                         witness_for_vector)
+from .semilinear import (outermost, parikh_semilinear,
+                         sl_intersection_witness, witness_for_vector)
 from .symbols import ElementaryBounded, Word, eb_complement_dfa, eb_concat
 
 
@@ -60,6 +60,7 @@ class IntersectionResult:
         return {"nonempty": 0, "empty": 1, "unknown": 2}[self.status]
 
 
+@outermost
 def intersect_modulo(grammars: list[Cfg], b: ElementaryBounded) -> Word | None:
     """A word in (intersection of all L_i) intersect B, or None if there is none.
 
@@ -97,6 +98,7 @@ def refine(g: Cfg, b: ElementaryBounded) -> Cfg:
     return product_with_dfa(g, eb_complement_dfa(b, g.terminals))
 
 
+@outermost
 def semi_algorithm(instance: IntersectionInstance, max_rounds: int = 5,
                    states: list[IterationState] | None = None
                    ) -> IntersectionResult:
@@ -137,6 +139,7 @@ def semi_algorithm(instance: IntersectionInstance, max_rounds: int = 5,
     return IntersectionResult("unknown", rounds=max_rounds)
 
 
+@outermost
 def progress_trace(g: Cfg, w: Word, max_rounds: int = 10) -> int:
     """The first refinement round i at which w is no longer in L_i, when the
     procedure runs on the single language L(g)."""

@@ -22,6 +22,7 @@ from itertools import product
 from .errors import BudgetError, InputError
 from .grammar import Cfg, simplify, trim
 from .intersect import IntersectionInstance, IntersectionResult, semi_algorithm
+from .semilinear import outermost
 from .symbols import alphabet
 
 IDLE = "#idle"
@@ -202,6 +203,7 @@ def pdn_reach_bounded(pdn: PushdownNetwork, init: GlobalConfiguration,
 # Reachability through the intersection procedure
 
 
+@outermost
 def reach(pdn: PushdownNetwork, init: GlobalConfiguration,
           target: GlobalConfiguration, max_rounds: int = 5) -> IntersectionResult:
     acceptors = encode_to_acceptors(pdn, init, target)

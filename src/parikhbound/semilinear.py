@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect
+from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, reduce, wraps
 from itertools import chain, product
 from operator import add, attrgetter, ge, itemgetter, or_, sub
 
@@ -940,10 +941,13 @@ def witness_for_vector(g: Cfg, v) -> Word | None:
     snapshot lengths it joined on its last pass (joined[r]), in an
     unchanged loop order.  Those pairs were tried already; the table only
     grows, in insertion order, so they would insert nothing, and the first
-    word found for each vector stays the same.  A vector is packed into one
-    int, a field of ``width`` bits per coordinate with a guard bit on top.
-    The table's vectors are dominated by v, so a sum of two stays below the
-    guards, and s <= v exactly when top - s clears no guard."""
+    word found for each vector stays the same.  A pass lists z's pairs
+    once; when x is z, each pair it inserts joins that list, so every row
+    of y meets z's pairs as they stand when the row starts.  A vector is
+    packed into one int, a field of ``width`` bits per coordinate with a
+    guard bit on top.  The table's vectors are dominated by v, so a sum of
+    two stays below the guards, and s <= v exactly when top - s clears no
+    guard."""
     v = tuple(v)
     g = trim(g)
     if len(v) != len(g.terminals):
@@ -974,12 +978,16 @@ def witness_for_vector(g: Cfg, v) -> Word | None:
             cell = table.setdefault(x, {})
             old_y, old_z = joined.get(r, (0, 0))
             joined[r] = len(ys), len(zs)
+            z_pairs = list(zs.items())
+            grows = cell is zs
             for i, (u1, w1) in enumerate(list(ys.items())):
-                for u2, w2 in list(zs.items())[old_z if i < old_y else 0:]:
+                for u2, w2 in z_pairs[old_z if i < old_y else 0:]:
                     s = u1 + u2
                     if (top - s) & guards != guards or s in cell:
                         continue
-                    cell[s] = w1 + w2
+                    word = cell[s] = w1 + w2
+                    if grows:
+                        z_pairs.append((s, word))
                     changed = True
     return table.get(cnf.start, {}).get(packed)
 
@@ -997,3 +1005,32 @@ def parikh_image(g: Cfg) -> WitnessedSemilinear:
                 f"no witness for component constant {comp.constant}")
         out.append((comp, w))
     return WitnessedSemilinear(sl.dim, tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# Outermost pipeline calls
+
+# Every memo of the library, held by reference: a tracer may rebind the
+# module attributes to wrappers that cannot be cleared.
+CACHES = (trim, to_cnf, _newton, parikh_image, prune, sl_minkowski,
+          _gens, _join, _in_span, _spans_within, _merge_search)
+_depth: ContextVar[int] = ContextVar("pipeline_depth", default=0)
+
+
+def outermost(fn):
+    """Mark fn as a pipeline entry point.  A call that no marked call
+    encloses first empties every cache, so neither its output nor its
+    memory depends on what ran earlier in the process; a nested call keeps
+    its caller's entries."""
+    @wraps(fn)
+    def entry(*args, **kwargs):
+        depth = _depth.get()
+        if not depth:
+            for cache in CACHES:
+                cache.cache_clear()
+        token = _depth.set(depth + 1)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _depth.reset(token)
+    return entry

@@ -1,12 +1,19 @@
-"""The library's caches: each is bounded, and none changes a result."""
+"""The library's caches: each is bounded, none changes a result, and an
+outermost pipeline call starts from empty ones."""
 
 import importlib
 import pkgutil
 from collections.abc import Iterator
 
-from helpers import full_corpus
+import pytest
+
+from helpers import DYCK1, G_EX, full_corpus
 import parikhbound
-from parikhbound import parikh_semilinear
+from parikhbound import (InputError, IntersectionInstance, boundedgen,
+                         parikh_equivalent_bounded, parikh_image,
+                         parikh_semilinear, parse_grammar, semi_algorithm,
+                         semilinear, trim)
+from parikhbound.semilinear import CACHES, outermost
 
 
 def package_modules():
@@ -54,3 +61,61 @@ def test_parikh_image_does_not_depend_on_warm_caches():
         for cached in lru_caches().values():
             cached.cache_clear()
         assert parikh_semilinear(g) == expected
+
+
+def cache_sizes() -> list[int]:
+    return [cached.cache_info().currsize for cached in CACHES]
+
+
+def test_the_marker_holds_every_cache():
+    assert len(set(CACHES)) == len(CACHES)
+    assert set(lru_caches().values()) == set(CACHES)
+
+
+def test_an_outermost_call_starts_from_empty_caches():
+    probe = outermost(cache_sizes)
+    parikh_semilinear(G_EX)     # not an entry point: the caches fill
+    assert any(cache_sizes())
+    assert not any(probe())
+
+    # a call that raises still gives the depth back, so the next one clears
+    @outermost
+    def fails():
+        raise InputError("fails")
+
+    parikh_semilinear(G_EX)
+    with pytest.raises(InputError):
+        fails()
+    assert not any(probe())
+
+    # through an entry point: an image computed before it is computed afresh
+    warm = trim(G_EX)
+    parikh_image(warm)
+    parikh_equivalent_bounded(DYCK1)
+    misses = parikh_image.cache_info().misses
+    parikh_image(warm)
+    assert parikh_image.cache_info().misses == misses + 1
+
+
+def test_a_nested_entry_keeps_its_callers_entries(monkeypatch):
+    """On the benchmark's refined pair, phase 3 of each round calls
+    parikh_equivalent_bounded, itself an entry point, on the grammars whose
+    images phase 1 computed: their Newton runs are still hits there."""
+    newton_calls = []
+    real = boundedgen.suggested_depth
+
+    def suggested_depth(g):
+        before = semilinear._newton.cache_info()
+        depth = real(g)
+        after = semilinear._newton.cache_info()
+        newton_calls.append((after.hits - before.hits,
+                             after.misses - before.misses))
+        return depth
+
+    monkeypatch.setattr(boundedgen, "suggested_depth", suggested_depth)
+    left = parse_grammar("X0 -> eps | b a X1\nX1 -> b | b b a")
+    right = parse_grammar("X0 -> X0 a | a X0 | b b")
+    result = semi_algorithm(IntersectionInstance((left, right)))
+    assert (result.status, result.rounds) == ("empty", 2)
+    # round 1's two grammars; phase 1 of round 2 settles it
+    assert newton_calls == [(1, 0), (1, 0)]

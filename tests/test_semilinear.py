@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (CORE_CORPUS, G_EX, corpus_and_acceptors,
+from helpers import (CORE_CORPUS, G_EX, Budget, corpus_and_acceptors,
                      expand_semilinear, full_corpus, naive_lin_member,
                      parikh_vectors, random_corpus, random_linear_grammar,
                      reference_lin_subsumed, reference_merge_pair,
@@ -585,6 +585,17 @@ def test_packed_witness_search_matches_the_tuple_reference():
             assert witness_for_vector(t, (-1,) + v[1:]) is None
             assert witness_for_vector(t, v[:-1] + (v[-1] - 300,)) is None
     assert found_large >= 5
+
+
+def test_witness_search_lists_each_join_once_per_pass():
+    """Grammar #20 at (1, 256) joins tens of thousands of rows: listing z's
+    pairs once per row of y, not once per pass, takes about 0.4 s.  The
+    test above checks the word against the reference."""
+    t = trim(corpus_and_acceptors()[20])
+    with Budget(0.2):
+        w = witness_for_vector(t, (1, 256))
+    assert cyk_membership(t, w)
+    assert parikh_of_word(w, t.terminals) == (1, 256)
 
 
 def test_parikh_image_witnesses_are_members():
