@@ -22,8 +22,11 @@ from .symbols import eb_from_text, eb_to_text, parikh_of_word
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -218,7 +221,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:

@@ -78,6 +78,11 @@ def encode_to_acceptors(pdn: PushdownNetwork, init: GlobalConfiguration,
         raise InputError("configuration arity does not match thread count")
     if any(s for s in target.stacks):
         raise InputError("target stacks must all be empty")
+    symbols = set(pdn.stack_alphabet)
+    if {init.global_state, target.global_state} - set(pdn.globals_) \
+            or any(s not in symbols for st in init.stacks for s in st):
+        raise InputError("a configuration uses an undeclared global or "
+                         "stack symbol")
     gamma_ext = tuple(pdn.stack_alphabet) + (BOT,)
     input_symbols = tuple(switch_symbol(g, j)
                           for j in range(1, n + 1) for g in pdn.globals_)

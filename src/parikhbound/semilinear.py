@@ -15,7 +15,7 @@ from bisect import bisect
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache, reduce, wraps
-from itertools import chain, product
+from itertools import product
 from operator import add, attrgetter, ge, itemgetter, or_, sub
 
 from . import diophantine
@@ -330,16 +330,14 @@ def _prune_key(cw) -> tuple:
 
 
 class _Entry:
-    """A component in _prune_pairs: its payload, the merge generation that
-    made it (0: an input), and the generation by which it has been tried as
-    the first of a merge pair against every later component (-1: not
-    yet)."""
+    """A component in _prune_pairs: its payload, and whether it has been
+    tried as the first of a merge pair against every later component."""
 
-    __slots__ = ("comp", "payload", "born", "scanned", "key")
+    __slots__ = ("comp", "payload", "scanned", "key")
 
-    def __init__(self, comp: LinearSet, payload, born: int = 0):
+    def __init__(self, comp: LinearSet, payload):
         self.comp, self.payload = comp, payload
-        self.born, self.scanned = born, -1
+        self.scanned = False
         self.key = _lin_key(comp)
 
 
@@ -358,13 +356,9 @@ def _prune_pairs(pairs: list) -> list:
     periods first, and a kept component also drops the earlier ones of its
     run that it contains: periods {(1,0)} span all of {(2,0),(3,0)}.  Then
     the merge scan takes the kept components in order as a, each with the
-    later ones as b, and merges the first pair it can.
-
-    Kept components sit in buckets by period set.  Both tests need the
-    first component's periods inside the second's span, so a bucket is
-    passed or skipped whole, on one mask test and one cached span
-    containment per period set asked about in this call.  Zero masks and
-    constant weights reject most remaining pairs before a call.
+    later ones as b, and merges the first pair it can.  Bit masks on period
+    supports and constant zeros, and constant weights, reject most pairs
+    before a call.
 
     Lemma: for every ordered pair (a, b) of distinct components in the
     result, _lin_subsumed(a, b) and _merge_pair(a, b) both fail.  It is
@@ -382,10 +376,15 @@ def _prune_pairs(pairs: list) -> list:
     A merge of a and b into m neither restarts the scans nor rescans: it
     removes a, b and every kept component that m subsumes, inserts m at its
     place in the order, and the merge scan goes on from the first component,
-    testing only the pairs not tested yet.  That is a pair with m, or one
-    whose first component has not been scanned (``born`` and ``scanned``
-    tell).  This gives what scanning all from the start after each merge
-    gives (tests/helpers.reference_prune_pairs):
+    testing only the pairs not tested yet.  For a component not scanned yet,
+    that is every later one.  A scanned one x has met every later component
+    there was when it was last scanned, and m is the one made since.  By
+    induction over the merges since x's scan: each came before x in the
+    order, or the scan would have reached x, so its first component was
+    scanned no earlier than x and could pair only with the entry of the
+    merge before, or was that entry; either way the merge used it up.  This
+    gives what scanning all from the start after each merge gives
+    (tests/helpers.reference_prune_pairs):
     - Every test is pure, so a pair of unchanged components that failed
       fails again, in either scan.
     - m is never subsumed.  _lin_subsumed(m, d) implies _lin_subsumed(a, d)
@@ -409,90 +408,45 @@ def _prune_pairs(pairs: list) -> list:
     payload: dict[LinearSet, object] = {}
     for l, w in pairs:
         payload.setdefault(l, w)
-    kept: list[_Entry] = []
-    # kept entries by period set; a bucket lasts the whole call, and
-    # spanned[ga] holds the buckets whose period set spans ga's periods
-    buckets: dict[_Gens, list[_Entry]] = {}
-    spanned: dict[_Gens, list[list[_Entry]]] = {}
-    fresh: list[_Entry] = []  # the merged entries among the kept
-
-    def within(ga: _Gens, gb: _Gens) -> bool:
-        return not ga.mask & ~gb.mask and _spans_within(ga, gb)
-
-    def spanning(ga: _Gens):
-        """The kept entries whose periods span every period of ga."""
-        lists = spanned.get(ga)
-        if lists is None:
-            lists = spanned[ga] = [members for gb, members in buckets.items()
-                                   if within(ga, gb)]
-        return chain.from_iterable(lists)
-
-    def keep(e: _Entry, at: int) -> None:
-        kept.insert(at, e)
-        gens = e.comp._gens
-        members = buckets.get(gens)
-        if members is None:
-            members = buckets[gens] = []
-            for ga, lists in spanned.items():
-                if within(ga, gens):
-                    lists.append(members)
-        members.append(e)
-
-    def drop(e: _Entry) -> None:
-        kept.remove(e)
-        buckets[e.comp._gens].remove(e)
-        if e.born:
-            fresh.remove(e)
-
+    kept: list[_Entry] = []  # sorted by key
     for c in sorted(payload, key=_lin_key):
-        zeros = c._zeros  # a subsumer's constant is zero where c's is
-        if any(not zeros & ~d.comp._zeros and _lin_subsumed(c, d.comp)
-               for d in spanning(c._gens)):
+        sig = c._sub_sig  # spares most pairs the call to _lin_subsumed
+        if any(not sig & ~d.comp._sub_sig and _lin_subsumed(c, d.comp)
+               for d in kept):
             continue
         run = len(kept)
         while run and kept[run - 1].comp.constant == c.constant:
             run -= 1
-        if run < len(kept):
-            sig = c._sub_sig  # spares most pairs the call to _lin_subsumed
-            for d in [d for d in kept[run:] if not d.comp._sub_sig & ~sig
-                      and _lin_subsumed(d.comp, c)]:
-                drop(d)
-        keep(_Entry(c, payload[c]), len(kept))
+        kept[run:] = [d for d in kept[run:] if d.comp._sub_sig & ~sig
+                      or not _lin_subsumed(d.comp, c)]
+        kept.append(_Entry(c, payload[c]))
 
-    generation = 0
     i = 0
     while i < len(kept):
         a = kept[i]
         c = a.comp
-        pool = spanning(c._gens) if a.scanned < 0 else \
-            [b for b in fresh if b.born > a.scanned]
+        # a scanned a has been tried against every later component but the
+        # last merge's (see above)
+        pool = [merged] if a.scanned else kept[i + 1:]
         # _merge_pair's first rejects, inline: b's greater weight puts it
         # after a, and b zero where a is not makes d negative somewhere.
         # Nor can b share a's period set: the merge needs d in span(b's
         # periods) = span(a's), and then _lin_subsumed(b, a) would hold.
-        tried = [b for b in pool
-                 if c._csum < b.comp._csum and not b.comp._zeros & ~c._zeros
-                 and b.comp._gens is not c._gens]
-        tried.sort(key=_entry_key)
-        for b in tried:
+        for b in [b for b in pool if c._csum < b.comp._csum
+                  and not b.comp._zeros & ~c._zeros
+                  and b.comp._gens is not c._gens]:
             m = _merge_pair(c, b.comp)
             if m is not None:
                 break
         else:
-            a.scanned = generation
+            a.scanned = True
             i += 1
             continue
-        generation += 1
-        for d in (a, b):
-            drop(d)
-        merged = _Entry(m, a.payload, generation)
-        for d in [d for gens, members in buckets.items()
-                  if within(gens, m._gens) for d in members
-                  if not d.comp._sub_sig & ~m._sub_sig
-                  and _lin_subsumed(d.comp, m)]:
-            drop(d)
-        keep(merged, bisect(kept, merged.key, key=_entry_key))
-        fresh.append(merged)
+        sig = m._sub_sig
+        kept = [d for d in kept if d is not a and d is not b
+                and (d.comp._sub_sig & ~sig or not _lin_subsumed(d.comp, m))]
+        merged = _Entry(m, a.payload)
+        kept.insert(bisect(kept, merged.key, key=_entry_key), merged)
         i = 0
     return [(e.comp, e.payload) for e in kept]
 

@@ -287,3 +287,21 @@ def test_bad_input_exits_2(files, capsys):
     net["globals"] = "".join(net["globals"])
     assert main(["reach-pdn", files("net.json", json.dumps(net))]) == 2
     assert "must be lists" in capsys.readouterr().err
+    # a directory and a file that is not UTF-8 are input errors, not "empty"
+    assert main(["bound", os.path.dirname(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read")
+    latin1 = Path(bad).with_name("latin1.txt")
+    latin1.write_bytes("S -> \u00e9\n".encode("latin-1"))
+    assert main(["bound", str(latin1)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read")
+    # a configuration naming an undeclared stack symbol or global
+    net = json.loads(pdn_to_json(*family_instance(1)))
+    init, target = net["init"], net["target"]
+    stacks = [s + ["Q"] for s in init["stacks"]]
+    for field, value in (("init", {**init, "global": "gX"}),
+                         ("target", {**target, "global": "g9"}),
+                         ("init", {**init, "stacks": stacks})):
+        bad_net = {**net, field: value}
+        assert main(["reach-pdn",
+                     files("bad-net.json", json.dumps(bad_net))]) == 2
+        assert "undeclared" in capsys.readouterr().err

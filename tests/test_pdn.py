@@ -56,6 +56,19 @@ def test_encoding_rejects_nonempty_target_stack():
         encode_to_acceptors(pdn, init, bad)
 
 
+def test_undeclared_configuration_symbols_are_input_errors():
+    # without the check, reach would answer "empty" with no certificate
+    pdn, init, target = COUNTDOWN
+    for bad_init, bad_target in (
+            (GlobalConfiguration("g0", (("A", "Q"),)), target),
+            (GlobalConfiguration("gX", init.stacks), target),
+            (init, GlobalConfiguration("g9", ((),)))):
+        with pytest.raises(InputError, match="undeclared"):
+            encode_to_acceptors(pdn, bad_init, bad_target)
+        with pytest.raises(InputError, match="undeclared"):
+            reach(pdn, bad_init, bad_target)
+
+
 def test_acceptor_cfg_nonempty_iff_reachable():
     # single-thread network: schedule language nonempty iff target reachable
     pdn, init, target = COUNTDOWN

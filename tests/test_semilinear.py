@@ -27,8 +27,9 @@ from parikhbound.diophantine import solve_nonneg
 from parikhbound.grammar import regex_to_cfg
 from parikhbound.pdn import acceptor_to_cfg, encode_to_acceptors, family_instance
 from parikhbound.semilinear import (WitnessedSemilinear, _lin_minkowski,
-                                    _lin_subsumed, _merge_pair, _merge_search,
-                                    _prune_pairs, _spans_within, prune,
+                                    _lin_key, _lin_subsumed, _merge_pair,
+                                    _merge_search, _prune_pairs,
+                                    _spans_within, prune,
                                     sl_empty, sl_minkowski, sl_singleton,
                                     sl_star,
                                     sl_union, wit_minkowski)
@@ -763,6 +764,8 @@ def test_prune_tests_no_merge_pair_twice(comps):
     with patch.object(semilinear, "_merge_pair", merge):
         _prune_pairs([(c, None) for c in comps])
     assert len(tested) == len(set(tested))
+    # the merge scan pairs a component only with later ones in the key order
+    assert all(_lin_key(x) < _lin_key(y) for x, y in tested)
 
 
 @settings(max_examples=200, deadline=None)
