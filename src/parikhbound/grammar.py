@@ -478,9 +478,12 @@ def transducer_product(g: Cfg, t: Nfa, out_sigma: Alphabet, emit) -> Cfg:
     words of L(g), where the move (q, a, q2) outputs the word emit(q, a, q2).
 
     Variable [q,x,q2] derives the outputs of the runs from q to q2 on the
-    words of x; a move's output stands where its terminal stood.  Triples
-    are built bottom-up from productive ones only, so the |Q|^3 blowup is
-    paid only on pairs that can derive a word.
+    words of x; a move's output stands where its terminal stood.  The pairs
+    (q, q2) that each symbol derives are found bottom-up first.  The
+    productions are then built top-down from the start triples, through
+    those pairs only, so every triple built is productive and reachable:
+    the |Q|^3 blowup is paid only on triples the product keeps, and the
+    result needs no trim.
     """
     g = binarize(trim(g))
     if not g.productions:
@@ -493,36 +496,47 @@ def transducer_product(g: Cfg, t: Nfa, out_sigma: Alphabet, emit) -> Cfg:
     rel = _derived(g.variables, g.productions, lambda a: set(outputs[a]),
                    {(q, q) for q in t.states}, _compose)
     rel.update((a, set(moves)) for a, moves in outputs.items())
-
-    def runs(rhs):
-        """State sequences q0..qn along which every symbol of rhs derives."""
-        if not rhs:
-            return [(q,) for q in t.states]
-        if len(rhs) == 1:
-            return rel[rhs[0]]
-        by_src: dict = {}
-        for q1, q2 in rel[rhs[1]]:
-            by_src.setdefault(q1, []).append(q2)
-        return [(q0, q1, q2) for q0, q1 in rel[rhs[0]] for q2 in by_src.get(q1, ())]
-
-    def tv(x, q, q2):
-        return f"[{q},{x},{q2}]"
-
-    prods: set[Production] = set()
+    after: dict = {}  # (s, q) -> the states q2 with (q, q2) in rel[s]
+    for s, pairs in rel.items():
+        for q, q2 in pairs:
+            after.setdefault((s, q), []).append(q2)
+    alternatives: dict[str, list] = {}
     for x, rhs in g.productions:
-        moves = [outputs.get(s) for s in rhs]  # None for a variable
-        for run in runs(rhs):
-            body = sum(((tv(s, q, q2),) if out is None else out[q, q2]
-                        for s, out, q, q2 in zip(rhs, moves, run, run[1:])), ())
-            prods.add((tv(x, run[0], run[-1]), body))
-    heads = {lhs for lhs, _ in prods}
-    start = next(_new_names("S", heads))
-    for qi in t.initial:
-        for qf in t.accepting:
-            if (qi, qf) in rel[g.start]:
-                prods.add((start, (tv(g.start, qi, qf),)))
-    variables = frozenset(heads | {start})
-    return trim(Cfg(variables, out_sigma, frozenset(prods), start))
+        alternatives.setdefault(x, []).append(rhs)
+
+    names: dict = {}  # each triple (x, q, q2) built -> its name [q,x,q2]
+    work: list = []
+
+    def tv(triple):
+        """The name of a triple; one met for the first time is queued."""
+        name = names.get(triple)
+        if name is None:
+            x, q, q2 = triple
+            name = names[triple] = f"[{q},{x},{q2}]"
+            work.append(triple)
+        return name
+
+    start = "S#0"  # no triple name has this form
+    prods = {(start, (tv((g.start, qi, qf)),)) for qi in t.initial
+             for qf in t.accepting if (qi, qf) in rel[g.start]}
+    while work:
+        x, q, q2 = triple = work.pop()
+        head = names[triple]
+        for rhs in alternatives[x]:
+            # the state runs q, ..., q2 along which each symbol of rhs derives
+            runs = [(q,)]
+            for s in rhs[:-1]:
+                runs = [r + (p,) for r in runs for p in after.get((s, r[-1]), ())]
+            runs = ([r + (q2,) for r in runs if (r[-1], q2) in rel[rhs[-1]]]
+                    if rhs else runs * (q == q2))
+            for run in runs:
+                body: tuple[str, ...] = ()
+                for s, p, p2 in zip(rhs, run, run[1:]):
+                    body += (outputs[s][p, p2] if s in outputs
+                             else (tv((s, p, p2)),))
+                prods.add((head, body))
+    variables = frozenset({start, *names.values()})
+    return Cfg(variables, out_sigma, frozenset(prods), start)
 
 
 def product_with_dfa(g: Cfg, d: Nfa) -> Cfg:

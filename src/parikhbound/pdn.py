@@ -83,6 +83,11 @@ def encode_to_acceptors(pdn: PushdownNetwork, init: GlobalConfiguration,
             or any(s not in symbols for st in init.stacks for s in st):
         raise InputError("a configuration uses an undeclared global or "
                          "stack symbol")
+    # the encoding's own idle global and bottom marker must stay apart from
+    # the network's symbols, or a thread could move through them
+    if IDLE in pdn.globals_ or BOT in symbols:
+        raise InputError(f"the global {IDLE!r} and the stack symbol {BOT!r} "
+                         "are reserved for the encoding")
     gamma_ext = tuple(pdn.stack_alphabet) + (BOT,)
     input_symbols = tuple(switch_symbol(g, j)
                           for j in range(1, n + 1) for g in pdn.globals_)

@@ -15,7 +15,8 @@ from parikhbound import (Cfg, GlobalConfiguration, PushdownNetwork, eb,
                          enumerate_words, parikh_image, parikh_of_word, trim)
 from parikhbound.boundedgen import bounded_for_linear, bounded_for_substitution
 from parikhbound.diophantine import solve_nonneg
-from parikhbound.grammar import (LinearGrammar, cfg, finite_cfg,
+from parikhbound.grammar import (LinearGrammar, _compose, _derived,
+                                 _new_names, binarize, cfg, finite_cfg,
                                  is_empty_language, simplify, to_cnf)
 from parikhbound.newton import build_kfold, suggested_depth, v_symbol
 from parikhbound.pdn import acceptor_to_cfg, encode_to_acceptors
@@ -400,6 +401,52 @@ def reference_solve_block(block, matrix, rhs, dim):
         values[k] = prune(sl_union(bk, *(sl_minkowski(rv, values[j])
                                          for j, rv in row.items())))
     return values
+
+
+def reference_transducer_product(g, t, out_sigma, emit):
+    """``transducer_product`` built bottom-up: a production for every run
+    along which each right-hand symbol derives, then a trim of the result."""
+    g = binarize(trim(g))
+    if not g.productions:
+        return Cfg(frozenset({g.start}), out_sigma, frozenset(), g.start)
+    outputs: dict[str, dict] = {a: {} for a in g.terminals}  # a -> (q, q2) -> word
+    for q, a, q2 in t.transitions:
+        if a in outputs:
+            outputs[a][q, q2] = emit(q, a, q2)
+    # rel[x] = set of (q, q2) such that [q,x,q2] derives a word
+    rel = _derived(g.variables, g.productions, lambda a: set(outputs[a]),
+                   {(q, q) for q in t.states}, _compose)
+    rel.update((a, set(moves)) for a, moves in outputs.items())
+
+    def runs(rhs):
+        """State sequences q0..qn along which every symbol of rhs derives."""
+        if not rhs:
+            return [(q,) for q in t.states]
+        if len(rhs) == 1:
+            return rel[rhs[0]]
+        by_src: dict = {}
+        for q1, q2 in rel[rhs[1]]:
+            by_src.setdefault(q1, []).append(q2)
+        return [(q0, q1, q2) for q0, q1 in rel[rhs[0]] for q2 in by_src.get(q1, ())]
+
+    def tv(x, q, q2):
+        return f"[{q},{x},{q2}]"
+
+    prods: set = set()
+    for x, rhs in g.productions:
+        moves = [outputs.get(s) for s in rhs]  # None for a variable
+        for run in runs(rhs):
+            body = sum(((tv(s, q, q2),) if out is None else out[q, q2]
+                        for s, out, q, q2 in zip(rhs, moves, run, run[1:])), ())
+            prods.add((tv(x, run[0], run[-1]), body))
+    heads = {lhs for lhs, _ in prods}
+    start = next(_new_names("S", heads))
+    for qi in t.initial:
+        for qf in t.accepting:
+            if (qi, qf) in rel[g.start]:
+                prods.add((start, (tv(g.start, qi, qf),)))
+    variables = frozenset(heads | {start})
+    return trim(Cfg(variables, out_sigma, frozenset(prods), start))
 
 
 def level_symbol(x: str, level: int) -> str:

@@ -305,3 +305,17 @@ def test_bad_input_exits_2(files, capsys):
         assert main(["reach-pdn",
                      files("bad-net.json", json.dumps(bad_net))]) == 2
         assert "undeclared" in capsys.readouterr().err
+    # a network that declares the encoder's idle global or bottom marker
+    idle_global = {"globals": ["g0", "#idle"], "stack_alphabet": ["A", "B"],
+                   "threads": [[["#idle", "A", "g0", []]],
+                               [["g0", "B", "g0", []]]],
+                   "init": {"global": "g0", "stacks": [["A"], ["B"]]},
+                   "target": {"global": "g0", "stacks": [[], []]}}
+    bottom_symbol = {"globals": ["g0", "g1"], "stack_alphabet": ["#bot"],
+                     "threads": [[["g0", "#bot", "g1", []]]],
+                     "init": {"global": "g0", "stacks": [[]]},
+                     "target": {"global": "g1", "stacks": [[]]}}
+    for bad_net in (idle_global, bottom_symbol):
+        assert main(["reach-pdn",
+                     files("bad-net.json", json.dumps(bad_net))]) == 2
+        assert "reserved" in capsys.readouterr().err

@@ -5,13 +5,16 @@ from pathlib import Path
 import pytest
 
 from helpers import (ANBN, CORE_CORPUS, DYCK1, G_EX, PALIN, Budget,
-                     full_corpus, per_length_parikh)
+                     corpus_and_acceptors, full_corpus, per_length_parikh,
+                     reference_transducer_product)
 from parikhbound import (BudgetError, Cfg, InputError, alphabet,
                          block_projection, bounded_subset, cyk_membership,
-                         enumerate_words, format_grammar, parse_grammar,
+                         enumerate_words, format_grammar,
+                         parikh_equivalent_bounded, parse_grammar,
                          product_with_dfa, simplify, trim)
 from parikhbound.grammar import (cfg, concat_grammars, finite_cfg,
-                                 is_empty_language, to_cnf)
+                                 is_empty_language, to_cnf,
+                                 transducer_product)
 from parikhbound.pdn import acceptor_to_cfg, encode_to_acceptors, family_instance
 from parikhbound.symbols import (Nfa, chars, determinize, eb, eb_complement_dfa,
                                  eb_to_nfa)
@@ -277,6 +280,45 @@ def test_block_projection_counts_blocks():
                 w = sum((wj * tj for wj, tj in zip(words, t)), ())
                 assert cyk_membership(proj, counts) == cyk_membership(g, w), \
                     (g.start, words, t)
+
+
+def test_product_matches_the_bottom_up_reference():
+    # the product as block_projection, bounded_subset and refine build it:
+    # B itself, the chain that writes a block's letter, B's complement
+    def to_block(q, a, q2):
+        return (f"a{q2[1]}",) if q2[0] == "b" else ()
+
+    def copy(q, a, q2):
+        return (a,)
+
+    checked = 0
+    for g in corpus_and_acceptors():
+        b = parikh_equivalent_bounded(g)
+        if len(b.words) > 400:
+            continue
+        g = trim(g)
+        blocks = alphabet([f"a{j}" for j in range(1, len(b.words) + 1)])
+        for t, out_sigma, emit in (
+                (determinize(eb_to_nfa(b, g.terminals)), g.terminals, copy),
+                (eb_to_nfa(b, g.terminals), blocks, to_block),
+                (eb_complement_dfa(b, g.terminals), g.terminals, copy)):
+            product_g = transducer_product(g, t, out_sigma, emit)
+            assert product_g == reference_transducer_product(
+                g, t, out_sigma, emit)
+            assert trim(product_g) == product_g
+            checked += 1
+        assert block_projection(g, b.words) == transducer_product(
+            g, eb_to_nfa(b, g.terminals), blocks, to_block)
+    assert checked >= 60
+
+
+def test_block_projection_of_the_expression_grammar():
+    # 356,884 productions; the bottom-up product took over 20 s
+    g = parse_grammar("E -> E p T | T\nT -> T m F | F\nF -> l E r | x\n")
+    b = parikh_equivalent_bounded(g)
+    with Budget(20):
+        proj = block_projection(trim(g), b.words)
+    assert any(lhs == proj.start for lhs, _ in proj.productions)
 
 
 def test_product_with_empty_dfa_is_empty():

@@ -69,6 +69,26 @@ def test_undeclared_configuration_symbols_are_input_errors():
             reach(pdn, bad_init, bad_target)
 
 
+def test_encoder_names_are_input_errors():
+    # both targets are unreachable, but a network may not move through the
+    # encoding's idle global or bottom marker: reach answered "reachable"
+    idle_global = PushdownNetwork(
+        ("g0", "#idle"), ("A", "B"),
+        ((("#idle", "A", "g0", ()),), (("g0", "B", "g0", ()),)))
+    bottom_symbol = PushdownNetwork(("g0", "g1"), ("#bot",),
+                                    ((("g0", "#bot", "g1", ()),),))
+    for pdn, init, target in (
+            (idle_global, GlobalConfiguration("g0", (("A",), ("B",))),
+             GlobalConfiguration("g0", ((), ()))),
+            (bottom_symbol, GlobalConfiguration("g0", ((),)),
+             GlobalConfiguration("g1", ((),)))):
+        assert not pdn_reach_bounded(pdn, init, target, 20)
+        with pytest.raises(InputError, match="reserved"):
+            encode_to_acceptors(pdn, init, target)
+        with pytest.raises(InputError, match="reserved"):
+            reach(pdn, init, target)
+
+
 def test_acceptor_cfg_nonempty_iff_reachable():
     # single-thread network: schedule language nonempty iff target reachable
     pdn, init, target = COUNTDOWN
