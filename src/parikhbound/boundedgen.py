@@ -22,8 +22,8 @@ from .newton import KFoldComposition, build_kfold, suggested_depth, v_symbol
 from .semilinear import (WitnessedSemilinear, _spans_within, outermost,
                          parikh_image, wit_minkowski, wit_singleton)
 from .symbols import (Alphabet, ElementaryBounded, Nfa, Regex, REmpty, REpsilon,
-                      RSym, RConcat, RUnion, RStar, Word, alphabet, determinize,
-                      eb, eb_concat, eb_to_nfa, nfa_to_regex, parikh_of_word)
+                      RSym, RConcat, RUnion, RStar, Word, alphabet, eb,
+                      eb_concat, eb_to_nfa, nfa_to_regex, parikh_of_word)
 
 
 @outermost
@@ -282,9 +282,10 @@ def parikh_equivalent_bounded(g: Cfg,
 @outermost
 def bounded_subset(g: Cfg, b: ElementaryBounded | None = None) -> Cfg:
     """A grammar for L' = L(g) intersect B; L' is bounded, contained in L(g),
-    and Parikh-equivalent to it."""
+    and Parikh-equivalent to it.  It is the product with B's eb_to_nfa
+    chain, as in block_projection; the chain's integer states keep the
+    printed grammar parseable."""
     g = trim(g)
     if b is None:
         b = parikh_equivalent_bounded(g)
-    dfa = determinize(eb_to_nfa(b, g.terminals))
-    return product_with_dfa(g, dfa)
+    return product_with_dfa(g, eb_to_nfa(b, g.terminals))

@@ -51,7 +51,9 @@ def minimal_homogeneous(columns: list[Vec], node_budget: int = 300_000) -> list[
             if nodes > node_budget:
                 raise BudgetError("Diophantine search budget exhausted")
             if val == zero_val:
-                if not any(_geq(x, m) and x != m for m in minimals):
+                # frontiers go up in weight, so a distinct minimal solution
+                # that x dominates was found at a lighter level
+                if not any(_geq(x, m) for m in minimals):
                     minimals.append(x)
                 continue
             for j in range(q):
@@ -63,9 +65,7 @@ def minimal_homogeneous(columns: list[Vec], node_budget: int = 300_000) -> list[
                         continue
                     next_frontier[y] = _add(val, columns[j])
         frontier = next_frontier
-    # a later-found equal-weight solution can make an earlier one non-minimal
-    return [m for m in minimals
-            if not any(_geq(m, m2) and m != m2 for m2 in minimals)]
+    return minimals
 
 
 def solve_system(columns: list[Vec], target: Vec, node_budget: int = 300_000

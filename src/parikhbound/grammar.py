@@ -10,7 +10,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
+from itertools import count, groupby
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import BudgetError, InputError
@@ -39,9 +40,6 @@ class Cfg:
             for s in rhs:
                 if s not in self.variables and s not in self.terminals:
                     raise InputError(f"undeclared symbol {s!r} in {lhs} -> {rhs}")
-
-    def alternatives(self, x: str) -> list[tuple[str, ...]]:
-        return sorted(rhs for lhs, rhs in self.productions if lhs == x)
 
     def sorted_productions(self) -> list[Production]:
         return sorted(self.productions)
@@ -130,12 +128,12 @@ def parse_grammar(text: str) -> Cfg:
 
 
 def format_grammar(g: Cfg) -> str:
+    """The text format of parse_grammar: a line per variable with
+    productions, from one sort of all of them."""
     lines = [f"start {g.start}"]
-    for x in sorted(g.variables):
-        alts = g.alternatives(x)
-        if not alts:
-            continue
-        rendered = " | ".join(" ".join(rhs) if rhs else "eps" for rhs in alts)
+    for x, group in groupby(g.sorted_productions(), key=itemgetter(0)):
+        rendered = " | ".join(" ".join(rhs) if rhs else "eps"
+                              for _, rhs in group)
         lines.append(f"{x} -> {rendered}")
     return "\n".join(lines) + "\n"
 
@@ -144,16 +142,18 @@ def format_grammar(g: Cfg) -> str:
 # Least derivation relations
 
 
-def _derived(variables, productions, leaf, unit, join) -> dict[str, set]:
+def _derived(variables, productions, leaf, unit) -> dict[str, dict]:
     """For each variable, the least relation closed under its productions,
     read as written (no normal form needed): a terminal a relates leaf(a),
     an empty right-hand side relates unit, and a longer one relates the
-    left-to-right join of its symbols' relations.  A production is joined
-    again only when the relation of one of its right-hand symbols grows.
+    left-to-right composition of its symbols' relations.  A production is
+    joined again only when the relation of one of its right-hand symbols
+    grows.  A relation is a successor map, state -> set of next states, so
+    "derives a word" is {0: {0}} and "derives no word" is {}.
 
-    With state pairs and composition this is the relation of the Bar-Hillel
-    product; trimming, nullability and CYK are instances of it.  Enumeration
-    and Parikh witnesses stay on CNF: witness_for_vector keeps the first word
+    With automaton states this is the relation of the Bar-Hillel product;
+    trimming, nullability and CYK are instances of it.  Enumeration and
+    Parikh witnesses stay on CNF: witness_for_vector keeps the first word
     its evaluation order finds, and that word enters the bounded language,
     so another order would change the output.  enumerate_words fills its CNF
     table once, in order of length, and checks its budget per stored word;
@@ -161,8 +161,8 @@ def _derived(variables, productions, leaf, unit, join) -> dict[str, set]:
     again each time one of its symbols grows, which on acceptor grammars
     runs for minutes where the CNF table runs out of budget in under a
     second."""
-    rel: dict[str, set] = {x: set() for x in variables}
-    symbol: dict[str, set] = {}
+    rel: dict[str, dict] = {x: {} for x in variables}
+    symbol: dict[str, dict] = {}
     users: dict[str, list[Production]] = {}
     for production in productions:
         for s in production[1]:
@@ -180,10 +180,17 @@ def _derived(variables, productions, leaf, unit, join) -> dict[str, set]:
         for s in rhs[1:]:
             if not acc:
                 break
-            acc = join(acc, symbol[s])
-        new = acc - rel[lhs]
-        if new:
-            rel[lhs] |= new
+            acc = _compose(acc, symbol[s])
+        # acc may be another symbol's map, whose sets are copied, or lhs's
+        # own (X -> X), which has every key and so gains none while read
+        target = rel[lhs]
+        grew = False
+        for p, qs in acc.items():
+            have = target.setdefault(p, set())
+            if not qs <= have:
+                have |= qs
+                grew = True
+        if grew:
             for user in users.get(lhs, ()):
                 if user not in queued:
                     queued.add(user)
@@ -191,17 +198,14 @@ def _derived(variables, productions, leaf, unit, join) -> dict[str, set]:
     return rel
 
 
-def _if_nonempty(left: set, right: set) -> set:
-    """Join of the emptiness relations: the left side when both derive."""
-    return left if right else set()
-
-
-def _compose(left: set, right: set) -> set:
-    """Join of the state-pair relations: relational composition."""
-    after: dict = {}
-    for q, r in right:
-        after.setdefault(q, []).append(r)
-    return {(p, r) for p, q in left for r in after.get(q, ())}
+def _compose(left: dict, right: dict) -> dict:
+    """Join of two successor maps: relational composition."""
+    out = {}
+    for p, qs in left.items():
+        nxt = set().union(*[right[q] for q in qs if q in right])
+        if nxt:
+            out[p] = nxt
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +219,8 @@ def trim(g: Cfg) -> Cfg:
     If the language is empty the result keeps just the start variable and no
     productions.
     """
-    derived = _derived(g.variables, g.productions, lambda a: {()}, {()},
-                       _if_nonempty)
+    derived = _derived(g.variables, g.productions, lambda a: {0: {0}},
+                       {0: {0}})
     productive = {x for x, r in derived.items() if r}
     keep = {(l, r) for (l, r) in g.productions
             if l in productive and all(s in productive or s in g.terminals for s in r)}
@@ -261,8 +265,7 @@ def to_cnf(g: Cfg) -> CnfGrammar:
     variables = g.variables
 
     # DEL: eliminate nullable occurrences
-    derived = _derived(variables, g.productions, lambda a: set(), {()},
-                       _if_nonempty)
+    derived = _derived(variables, g.productions, lambda a: {}, {0: {0}})
     nullable = {x for x, r in derived.items() if r}
     eps_in_language = g.start in nullable
     expanded: set[Production] = set()
@@ -282,7 +285,7 @@ def to_cnf(g: Cfg) -> CnfGrammar:
     # no production is long enough to need a join.
     chains = {(lhs, rhs if len(rhs) == 1 and rhs[0] in variables else (rhs,))
               for lhs, rhs in expanded}
-    reached = _derived(variables, chains, lambda rhs: {rhs}, set(), None)
+    reached = _derived(variables, chains, lambda rhs: {rhs: {rhs}}, {})
     final = {(x, rhs) for x, rhss in reached.items() for rhs in rhss}
 
     # TERM: lift terminals occurring inside binary rules
@@ -311,7 +314,7 @@ def to_cnf(g: Cfg) -> CnfGrammar:
                        | {x for x, _ in unary},
                        {(x, (y, z)) for x, y, z in binary}
                        | {(x, (a,)) for x, a in unary},
-                       lambda a: {()}, set(), _if_nonempty)
+                       lambda a: {0: {0}}, {})
     binary = {(x, y, z) for x, y, z in binary if derives[y] and derives[z]}
     return CnfGrammar(g.start, tuple(sorted(binary)), tuple(sorted(unary)),
                       eps_in_language)
@@ -322,9 +325,9 @@ def cyk_membership(g: Cfg, w: Word) -> bool:
     g = trim(g)
     n = len(w)
     spans = _derived(g.variables, g.productions,
-                     lambda a: {(i, i + 1) for i in range(n) if w[i] == a},
-                     {(i, i) for i in range(n + 1)}, _compose)
-    return (0, n) in spans[g.start]
+                     lambda a: {i: {i + 1} for i in range(n) if w[i] == a},
+                     {i: {i} for i in range(n + 1)})
+    return n in spans[g.start].get(0, ())
 
 
 def enumerate_words(g: Cfg, max_length: int, budget: int = 500_000) -> list[Word]:
@@ -478,28 +481,26 @@ def transducer_product(g: Cfg, t: Nfa, out_sigma: Alphabet, emit) -> Cfg:
     words of L(g), where the move (q, a, q2) outputs the word emit(q, a, q2).
 
     Variable [q,x,q2] derives the outputs of the runs from q to q2 on the
-    words of x; a move's output stands where its terminal stood.  The pairs
-    (q, q2) that each symbol derives are found bottom-up first.  The
-    productions are then built top-down from the start triples, through
-    those pairs only, so every triple built is productive and reachable:
-    the |Q|^3 blowup is paid only on triples the product keeps, and the
-    result needs no trim.
+    words of x; a move's output stands where its terminal stood.  Each
+    terminal relates the moves on it, as a successor map, and the maps of
+    the variables are derived from these bottom-up first.  The productions
+    are then built top-down from the start triples, through those maps
+    only, so every triple built is productive and reachable: the |Q|^3
+    blowup is paid only on triples the product keeps, and the result needs
+    no trim.
     """
     g = binarize(trim(g))
     if not g.productions:
         return Cfg(frozenset({g.start}), out_sigma, frozenset(), g.start)
     outputs: dict[str, dict] = {a: {} for a in g.terminals}  # a -> (q, q2) -> word
+    succ: dict[str, dict] = {a: {} for a in g.terminals}  # a -> q -> the q2
     for q, a, q2 in t.transitions:
         if a in outputs:
             outputs[a][q, q2] = emit(q, a, q2)
-    # rel[x] = set of (q, q2) such that [q,x,q2] derives a word
-    rel = _derived(g.variables, g.productions, lambda a: set(outputs[a]),
-                   {(q, q) for q in t.states}, _compose)
-    rel.update((a, set(moves)) for a, moves in outputs.items())
-    after: dict = {}  # (s, q) -> the states q2 with (q, q2) in rel[s]
-    for s, pairs in rel.items():
-        for q, q2 in pairs:
-            after.setdefault((s, q), []).append(q2)
+            succ[a].setdefault(q, set()).add(q2)
+    # succ[x][q] = the states q2 such that [q,x,q2] derives a word
+    succ.update(_derived(g.variables, g.productions, succ.__getitem__,
+                         {q: {q} for q in t.states}))
     alternatives: dict[str, list] = {}
     for x, rhs in g.productions:
         alternatives.setdefault(x, []).append(rhs)
@@ -518,7 +519,7 @@ def transducer_product(g: Cfg, t: Nfa, out_sigma: Alphabet, emit) -> Cfg:
 
     start = "S#0"  # no triple name has this form
     prods = {(start, (tv((g.start, qi, qf)),)) for qi in t.initial
-             for qf in t.accepting if (qi, qf) in rel[g.start]}
+             for qf in t.accepting if qf in succ[g.start].get(qi, ())}
     while work:
         x, q, q2 = triple = work.pop()
         head = names[triple]
@@ -526,8 +527,9 @@ def transducer_product(g: Cfg, t: Nfa, out_sigma: Alphabet, emit) -> Cfg:
             # the state runs q, ..., q2 along which each symbol of rhs derives
             runs = [(q,)]
             for s in rhs[:-1]:
-                runs = [r + (p,) for r in runs for p in after.get((s, r[-1]), ())]
-            runs = ([r + (q2,) for r in runs if (r[-1], q2) in rel[rhs[-1]]]
+                runs = [r + (p,) for r in runs for p in succ[s].get(r[-1], ())]
+            runs = ([r + (q2,) for r in runs
+                     if q2 in succ[rhs[-1]].get(r[-1], ())]
                     if rhs else runs * (q == q2))
             for run in runs:
                 body: tuple[str, ...] = ()
@@ -551,12 +553,13 @@ def product_with_dfa(g: Cfg, d: Nfa) -> Cfg:
 def block_projection(g: Cfg, words: tuple[Word, ...]) -> Cfg:
     """Grammar over a1..an for { a1^t1...an^tn : w1^t1...wn^tn in L(g) }:
     the product with the eb_to_nfa chain, which outputs aj on each move
-    into the boundary ("b", j)."""
-    chain = eb_to_nfa(ElementaryBounded(words), g.terminals)
-    out_sigma = alphabet([f"a{j}" for j in range(1, len(words) + 1)])
+    into boundary j, the states 1..n of the chain."""
+    b = ElementaryBounded(words)
+    chain = eb_to_nfa(b, g.terminals)
+    out_sigma = alphabet([f"a{j}" for j in range(1, b.k + 1)])
     return transducer_product(
         g, chain, out_sigma,
-        lambda q, a, q2: (f"a{q2[1]}",) if q2[0] == "b" else ())
+        lambda q, a, q2: (f"a{q2}",) if q2 <= b.k else ())
 
 
 # ---------------------------------------------------------------------------

@@ -192,34 +192,28 @@ def determinize(n: Nfa) -> Nfa:
 
 
 def eb_to_nfa(b: ElementaryBounded, sigma: Alphabet) -> Nfa:
-    """Chain-shaped NFA for w1*...wk* with 1 + sum(len(wi)) states.
+    """Chain-shaped NFA for w1*...wk* with 1 + sum(len(wi)) integer states.
 
-    State ("b", i) marks "block i just completed" (block 0 = start); from there
-    any block j >= max(i, 1) may begin.  All boundary states accept.
+    State i in 0..k is boundary i, "block i just completed" (block 0 =
+    start); from there any block j >= max(i, 1) may begin.  The states
+    inside the blocks are k+1 onward, block by block.  All boundary states
+    accept.
     """
     words = b.words
+    k = len(words)
     transitions = set()
-    states = {("b", 0)}
-    for i, w in enumerate(words, start=1):
-        for pos in range(1, len(w)):
-            states.add(("in", i, pos))
-        states.add(("b", i))
-
-    def block_state(i: int, pos: int):
-        # position pos symbols of block i consumed; pos == len(w) is boundary i
-        return ("b", i) if pos == len(words[i - 1]) else ("in", i, pos)
-
-    for i in range(len(words) + 1):
-        # from boundary i, start any block j >= max(i, 1)
-        for j in range(max(i, 1), len(words) + 1):
-            w = words[j - 1]
-            transitions.add((("b", i), w[0], block_state(j, 1)))
+    inner = k + 1  # the next unused state
     for j, w in enumerate(words, start=1):
+        # the states after reading 1..len(w) letters of block j
+        path = list(range(inner, inner + len(w) - 1)) + [j]
+        inner += len(w) - 1
+        for i in range(j + 1):
+            # from boundary i, start block j when j >= max(i, 1)
+            transitions.add((i, w[0], path[0]))
         for pos in range(1, len(w)):
-            transitions.add((block_state(j, pos), w[pos], block_state(j, pos + 1)))
-    accepting = frozenset(("b", i) for i in range(len(words) + 1))
-    return Nfa(frozenset(states), sigma, frozenset(transitions),
-               frozenset({("b", 0)}), accepting)
+            transitions.add((path[pos - 1], w[pos], path[pos]))
+    return Nfa(frozenset(range(inner)), sigma, frozenset(transitions),
+               frozenset({0}), frozenset(range(k + 1)))
 
 
 def eb_complement_dfa(b: ElementaryBounded, sigma: Alphabet) -> Nfa:

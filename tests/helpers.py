@@ -15,9 +15,9 @@ from parikhbound import (Cfg, GlobalConfiguration, PushdownNetwork, eb,
                          enumerate_words, parikh_image, parikh_of_word, trim)
 from parikhbound.boundedgen import bounded_for_linear, bounded_for_substitution
 from parikhbound.diophantine import solve_nonneg
-from parikhbound.grammar import (LinearGrammar, _compose, _derived,
-                                 _new_names, binarize, cfg, finite_cfg,
-                                 is_empty_language, simplify, to_cnf)
+from parikhbound.grammar import (LinearGrammar, _new_names, binarize, cfg,
+                                 finite_cfg, is_empty_language, simplify,
+                                 to_cnf)
 from parikhbound.newton import build_kfold, suggested_depth, v_symbol
 from parikhbound.pdn import acceptor_to_cfg, encode_to_acceptors
 from parikhbound.semilinear import (lin_membership, linear_set, prune,
@@ -413,10 +413,9 @@ def reference_transducer_product(g, t, out_sigma, emit):
     for q, a, q2 in t.transitions:
         if a in outputs:
             outputs[a][q, q2] = emit(q, a, q2)
-    # rel[x] = set of (q, q2) such that [q,x,q2] derives a word
-    rel = _derived(g.variables, g.productions, lambda a: set(outputs[a]),
-                   {(q, q) for q in t.states}, _compose)
-    rel.update((a, set(moves)) for a, moves in outputs.items())
+    # rel[s] = set of (q, q2) such that [q,s,q2] derives a word
+    rel = {a: set(moves) for a, moves in outputs.items()}
+    rel.update((x, set()) for x in g.variables)
 
     def runs(rhs):
         """State sequences q0..qn along which every symbol of rhs derives."""
@@ -428,6 +427,17 @@ def reference_transducer_product(g, t, out_sigma, emit):
         for q1, q2 in rel[rhs[1]]:
             by_src.setdefault(q1, []).append(q2)
         return [(q0, q1, q2) for q0, q1 in rel[rhs[0]] for q2 in by_src.get(q1, ())]
+
+    # a naive fixpoint, independent of the library's engine: every
+    # production is joined again on every pass until no relation grows
+    grew = True
+    while grew:
+        grew = False
+        for x, rhs in g.productions:
+            pairs = {(run[0], run[-1]) for run in runs(rhs)}
+            if not pairs <= rel[x]:
+                rel[x] |= pairs
+                grew = True
 
     def tv(x, q, q2):
         return f"[{q},{x},{q2}]"
