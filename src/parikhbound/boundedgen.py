@@ -122,14 +122,14 @@ def decompose_linear(lg: LinearGrammar
     lg = trim(lg)
     final = "#qf"
     sides: dict[str, tuple[Word, Word]] = {}
-    transitions = set()
+    moves: dict = {}
     for i, (lhs, rhs) in enumerate(lg.sorted_productions()):
         p = f"p{i}"
         j = next((j for j, s in enumerate(rhs) if s in lg.variables), len(rhs))
         sides[p] = (tuple(rhs[:j]), tuple(rhs[j + 1:]))
-        transitions.add((lhs, p, rhs[j] if j < len(rhs) else final))
+        moves[p] = {lhs: {rhs[j] if j < len(rhs) else final}}
     nfa = Nfa(frozenset(lg.variables | {final}), alphabet(sides),
-              frozenset(transitions), frozenset({lg.start}), frozenset({final}))
+              moves, frozenset({lg.start}), frozenset({final}))
     return nfa, sides
 
 

@@ -482,23 +482,18 @@ def transducer_product(g: Cfg, t: Nfa, out_sigma: Alphabet, emit) -> Cfg:
 
     Variable [q,x,q2] derives the outputs of the runs from q to q2 on the
     words of x; a move's output stands where its terminal stood.  Each
-    terminal relates the moves on it, as a successor map, and the maps of
+    terminal relates the moves on it, t's own successor map, and the maps of
     the variables are derived from these bottom-up first.  The productions
     are then built top-down from the start triples, through those maps
     only, so every triple built is productive and reachable: the |Q|^3
     blowup is paid only on triples the product keeps, and the result needs
-    no trim.
+    no trim.  emit is called only for the moves a production uses.
     """
     g = binarize(trim(g))
     if not g.productions:
         return Cfg(frozenset({g.start}), out_sigma, frozenset(), g.start)
-    outputs: dict[str, dict] = {a: {} for a in g.terminals}  # a -> (q, q2) -> word
-    succ: dict[str, dict] = {a: {} for a in g.terminals}  # a -> q -> the q2
-    for q, a, q2 in t.transitions:
-        if a in outputs:
-            outputs[a][q, q2] = emit(q, a, q2)
-            succ[a].setdefault(q, set()).add(q2)
-    # succ[x][q] = the states q2 such that [q,x,q2] derives a word
+    # succ[s][q] = the states q2 such that [q,s,q2] derives a word
+    succ = {a: t.moves.get(a, {}) for a in g.terminals}
     succ.update(_derived(g.variables, g.productions, succ.__getitem__,
                          {q: {q} for q in t.states}))
     alternatives: dict[str, list] = {}
@@ -534,8 +529,8 @@ def transducer_product(g: Cfg, t: Nfa, out_sigma: Alphabet, emit) -> Cfg:
             for run in runs:
                 body: tuple[str, ...] = ()
                 for s, p, p2 in zip(rhs, run, run[1:]):
-                    body += (outputs[s][p, p2] if s in outputs
-                             else (tv((s, p, p2)),))
+                    body += ((tv((s, p, p2)),) if s in g.variables
+                             else emit(p, s, p2))
                 prods.add((head, body))
     variables = frozenset({start, *names.values()})
     return Cfg(variables, out_sigma, frozenset(prods), start)

@@ -71,21 +71,29 @@ def switch_symbol(g: str, thread: int) -> str:
     return f"({g},{thread})"
 
 
+def _check_configurations(pdn: PushdownNetwork,
+                         *configs: GlobalConfiguration) -> None:
+    """InputError unless each configuration has one stack per thread and
+    uses only the network's globals and stack symbols."""
+    symbols = set(pdn.stack_alphabet)
+    for c in configs:
+        if len(c.stacks) != len(pdn.threads):
+            raise InputError("configuration arity does not match thread count")
+        if c.global_state not in pdn.globals_ \
+                or any(s not in symbols for st in c.stacks for s in st):
+            raise InputError("a configuration uses an undeclared global or "
+                             "stack symbol")
+
+
 def encode_to_acceptors(pdn: PushdownNetwork, init: GlobalConfiguration,
                         target: GlobalConfiguration) -> list[PushdownAcceptor]:
-    n = len(pdn.threads)
-    if len(init.stacks) != n or len(target.stacks) != n:
-        raise InputError("configuration arity does not match thread count")
+    _check_configurations(pdn, init, target)
     if any(s for s in target.stacks):
         raise InputError("target stacks must all be empty")
-    symbols = set(pdn.stack_alphabet)
-    if {init.global_state, target.global_state} - set(pdn.globals_) \
-            or any(s not in symbols for st in init.stacks for s in st):
-        raise InputError("a configuration uses an undeclared global or "
-                         "stack symbol")
+    n = len(pdn.threads)
     # the encoding's own idle global and bottom marker must stay apart from
     # the network's symbols, or a thread could move through them
-    if IDLE in pdn.globals_ or BOT in symbols:
+    if IDLE in pdn.globals_ or BOT in pdn.stack_alphabet:
         raise InputError(f"the global {IDLE!r} and the stack symbol {BOT!r} "
                          "are reserved for the encoding")
     gamma_ext = tuple(pdn.stack_alphabet) + (BOT,)
@@ -177,6 +185,7 @@ def pdn_reach_bounded(pdn: PushdownNetwork, init: GlobalConfiguration,
                       state_budget: int = 500_000) -> bool:
     """Breadth-first search over configurations, exploring at most `depth`
     rule applications with stacks capped at initial height + depth."""
+    _check_configurations(pdn, init, target)
     cap = max((len(s) for s in init.stacks), default=0) + depth
     start = (init.global_state, tuple(tuple(s) for s in init.stacks))
     goal = (target.global_state, tuple(tuple(s) for s in target.stacks))
@@ -280,6 +289,15 @@ def pdn_from_json(text: str) -> tuple[PushdownNetwork, GlobalConfiguration,
             raise InputError("malformed network description: globals, "
                              "stack_alphabet, threads, each thread, rule, push "
                              "and stack must be lists, and a rule has 4 fields")
+        if not all(isinstance(s, str) for s in (
+                *data["globals"], *data["stack_alphabet"],
+                *(s for thread in threads for r in thread
+                  for s in (*r[:3], *r[3])),
+                data["init"]["global"], data["target"]["global"],
+                *(s for stack in (*stacks[0], *stacks[1]) for s in stack))):
+            raise InputError("malformed network description: every global, "
+                             "stack symbol, rule field, push entry and "
+                             "configuration entry must be a string")
         pdn = PushdownNetwork(
             tuple(data["globals"]), tuple(data["stack_alphabet"]),
             tuple(tuple((r[0], r[1], r[2], tuple(r[3])) for r in thread)

@@ -238,7 +238,7 @@ def sl_star(s: SemilinearSet) -> SemilinearSet:
     out = sl_singleton((0,) * s.dim)
     for comp in s.components:
         out = sl_minkowski(out, _lin_star(comp))
-    return prune(out)
+    return out
 
 
 # ---------------------------------------------------------------------------

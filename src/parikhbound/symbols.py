@@ -139,29 +139,25 @@ def eb_from_text(text: str) -> ElementaryBounded:
 @dataclass(frozen=True)
 class Nfa:
     """Nondeterministic automaton without epsilon moves; a deterministic one
-    is an Nfa with one initial state and one successor per (state, letter)."""
+    is an Nfa with one initial state and one successor per (state, letter).
+
+    moves[a] is letter a's successor map, state -> set of next states; a
+    letter or state without moves may be missing.  Readers share these maps
+    and must not mutate them."""
 
     states: frozenset
     alphabet: Alphabet
-    transitions: frozenset  # of (state, symbol, state)
+    moves: dict
     initial: frozenset
     accepting: frozenset
-
-    def __post_init__(self):
-        by_source: dict = {}
-        for p, a, q in self.transitions:
-            by_source.setdefault((p, a), set()).add(q)
-        object.__setattr__(self, "_delta", by_source)
 
     @property
     def n_states(self) -> int:
         return len(self.states)
 
     def step(self, qs: frozenset, a: str) -> frozenset:
-        nxt: set = set()
-        for q in qs:
-            nxt |= self._delta.get((q, a), set())  # type: ignore[attr-defined]
-        return frozenset(nxt)
+        succ = self.moves.get(a, {})
+        return frozenset().union(*[succ[q] for q in qs if q in succ])
 
     def accepts(self, w: Word) -> bool:
         current = self.initial
@@ -177,7 +173,7 @@ def determinize(n: Nfa) -> Nfa:
     The empty subset is a sink, so every state has one successor per letter."""
     ids = {n.initial: 0}
     queue = [n.initial]
-    transitions = set()
+    moves: dict = {a: {} for a in n.alphabet}
     # the list grows while it is walked; a subset's index in it is its id
     for i, current in enumerate(queue):
         for a in n.alphabet:
@@ -185,9 +181,9 @@ def determinize(n: Nfa) -> Nfa:
             if nxt not in ids:
                 ids[nxt] = len(ids)
                 queue.append(nxt)
-            transitions.add((i, a, ids[nxt]))
+            moves[a][i] = {ids[nxt]}
     accepting = frozenset(i for s, i in ids.items() if s & n.accepting)
-    return Nfa(frozenset(range(len(ids))), n.alphabet, frozenset(transitions),
+    return Nfa(frozenset(range(len(ids))), n.alphabet, moves,
                frozenset({0}), accepting)
 
 
@@ -201,18 +197,20 @@ def eb_to_nfa(b: ElementaryBounded, sigma: Alphabet) -> Nfa:
     """
     words = b.words
     k = len(words)
-    transitions = set()
+    moves: dict = {}
     inner = k + 1  # the next unused state
     for j, w in enumerate(words, start=1):
         # the states after reading 1..len(w) letters of block j
         path = list(range(inner, inner + len(w) - 1)) + [j]
         inner += len(w) - 1
+        succ = moves.setdefault(w[0], {})
         for i in range(j + 1):
             # from boundary i, start block j when j >= max(i, 1)
-            transitions.add((i, w[0], path[0]))
+            succ.setdefault(i, set()).add(path[0])
         for pos in range(1, len(w)):
-            transitions.add((path[pos - 1], w[pos], path[pos]))
-    return Nfa(frozenset(range(inner)), sigma, frozenset(transitions),
+            moves.setdefault(w[pos], {}).setdefault(
+                path[pos - 1], set()).add(path[pos])
+    return Nfa(frozenset(range(inner)), sigma, moves,
                frozenset({0}), frozenset(range(k + 1)))
 
 
@@ -222,7 +220,7 @@ def eb_complement_dfa(b: ElementaryBounded, sigma: Alphabet) -> Nfa:
         if a not in sigma:
             raise InputError(f"bounded-language symbol {a!r} missing from alphabet")
     d = determinize(eb_to_nfa(b, sigma))
-    return Nfa(d.states, d.alphabet, d.transitions, d.initial,
+    return Nfa(d.states, d.alphabet, d.moves, d.initial,
                d.states - d.accepting)
 
 
@@ -308,9 +306,10 @@ def nfa_to_regex(n: Nfa) -> Regex:
             return
         edges[(p, q)] = runion(edges.get((p, q), EMPTY), r)
 
-    # frozensets iterate in hash order; sorting keeps the regex, and every
+    # sets iterate in hash order; sorting keeps the regex, and every
     # bounded language built from it, independent of PYTHONHASHSEED
-    for p, a, q in sorted(n.transitions, key=repr):
+    for p, a, q in sorted(((p, a, q) for a, succ in n.moves.items()
+                           for p, qs in succ.items() for q in qs), key=repr):
         add(p, q, RSym(a))
     for q in sorted(n.initial, key=repr):
         add(INIT, q, EPS)

@@ -410,9 +410,11 @@ def reference_transducer_product(g, t, out_sigma, emit):
     if not g.productions:
         return Cfg(frozenset({g.start}), out_sigma, frozenset(), g.start)
     outputs: dict[str, dict] = {a: {} for a in g.terminals}  # a -> (q, q2) -> word
-    for q, a, q2 in t.transitions:
+    for a, succ in t.moves.items():
         if a in outputs:
-            outputs[a][q, q2] = emit(q, a, q2)
+            for q, q2s in succ.items():
+                for q2 in q2s:
+                    outputs[a][q, q2] = emit(q, a, q2)
     # rel[s] = set of (q, q2) such that [q,s,q2] derives a word
     rel = {a: set(moves) for a, moves in outputs.items()}
     rel.update((x, set()) for x in g.variables)

@@ -224,6 +224,19 @@ def test_reach_pdn_file(files, capsys):
     assert main(["reach-pdn", path, "--oracle-depth", "12"]) == 0
 
 
+def test_reach_pdn_oracle_checks_the_configuration(files, capsys):
+    # an undeclared init global; the oracle answered "not reached"
+    net = json.loads(pdn_to_json(*family_instance(1)))
+    net["init"]["global"] = "h"
+    path = files("net.json", json.dumps(net))
+    for flags in ([], ["--oracle-depth", "3"]):
+        assert main(["reach-pdn", path, *flags]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == ("error: a configuration uses an undeclared global or "
+                       "stack symbol\n")
+
+
 def test_reach_pdn_requires_input(capsys):
     assert main(["reach-pdn"]) == 2
     assert "error" in capsys.readouterr().err
@@ -287,6 +300,16 @@ def test_bad_input_exits_2(files, capsys):
     net["globals"] = "".join(net["globals"])
     assert main(["reach-pdn", files("net.json", json.dumps(net))]) == 2
     assert "must be lists" in capsys.readouterr().err
+    # symbols that are not strings: the encoder raised TypeError (exit 1)
+    net = json.loads(pdn_to_json(*family_instance(1)))
+    init, target = net["init"], net["target"]
+    for field, value in (("init", {**init, "global": ["g"]}),
+                         ("init", {**init, "stacks": [[["A"]], ["W"]]}),
+                         ("target", {**target, "global": {"x": 1}})):
+        bad_net = {**net, field: value}
+        assert main(["reach-pdn",
+                     files("bad-net.json", json.dumps(bad_net))]) == 2
+        assert "must be a string" in capsys.readouterr().err
     # a directory and a file that is not UTF-8 are input errors, not "empty"
     assert main(["bound", os.path.dirname(bad)]) == 2
     assert capsys.readouterr().err.startswith("error: cannot read")

@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 from itertools import product
 from pathlib import Path
@@ -15,6 +16,7 @@ from parikhbound import (BudgetError, Cfg, InputError, alphabet,
 from parikhbound.grammar import (CnfGrammar, cfg, concat_grammars,
                                  finite_cfg, is_empty_language, to_cnf,
                                  transducer_product)
+from parikhbound.intersect import refine
 from parikhbound.pdn import acceptor_to_cfg, encode_to_acceptors, family_instance
 from parikhbound.symbols import (Nfa, chars, determinize, eb, eb_complement_dfa,
                                  eb_to_nfa)
@@ -316,6 +318,38 @@ def test_product_matches_the_bottom_up_reference():
     assert checked >= 60
 
 
+def test_products_leave_the_automaton_moves_unchanged(monkeypatch):
+    # the product hands the automaton's own successor maps to the engine as
+    # the terminals' relations; no product may add to them
+    built = []
+
+    def recording(make):
+        def build(*args):
+            t = make(*args)
+            built.append((t.moves, copy.deepcopy(t.moves)))
+            return t
+        return build
+
+    monkeypatch.setattr("parikhbound.grammar.eb_to_nfa",
+                        recording(eb_to_nfa))
+    monkeypatch.setattr("parikhbound.boundedgen.eb_to_nfa",
+                        recording(eb_to_nfa))
+    monkeypatch.setattr("parikhbound.intersect.eb_complement_dfa",
+                        recording(eb_complement_dfa))
+    calls = 0
+    for g in full_corpus():
+        b = parikh_equivalent_bounded(g)
+        if len(b.words) > 100:
+            continue
+        bounded_subset(g, b)
+        block_projection(trim(g), b.words)
+        refine(g, b)
+        calls += 3
+    assert len(built) == calls >= 30
+    for moves, before in built:
+        assert moves == before
+
+
 def test_block_projection_of_the_expression_grammar():
     # 356,884 productions; the bottom-up product took over 20 s
     g = parse_grammar("E -> E p T | T\nT -> T m F | F\nF -> l E r | x\n")
@@ -360,14 +394,14 @@ def test_unit_self_loops():
 
 def test_product_with_empty_dfa_is_empty():
     dfa = determinize(eb_to_nfa(eb([("a",)]), AB))
-    empty = Nfa(dfa.states, dfa.alphabet, dfa.transitions, dfa.initial,
+    empty = Nfa(dfa.states, dfa.alphabet, dfa.moves, dfa.initial,
                 frozenset())
     assert is_empty_language(product_with_dfa(trim(G_EX), empty))
 
 
 def test_product_with_full_dfa_is_identity():
     full = determinize(eb_to_nfa(eb([]), AB))
-    full = Nfa(full.states, full.alphabet, full.transitions, full.initial,
+    full = Nfa(full.states, full.alphabet, full.moves, full.initial,
                full.states)
     inter = product_with_dfa(trim(G_EX), full)
     assert words_set(inter, 6) == words_set(G_EX, 6)

@@ -67,6 +67,11 @@ def test_undeclared_configuration_symbols_are_input_errors():
             encode_to_acceptors(pdn, bad_init, bad_target)
         with pytest.raises(InputError, match="undeclared"):
             reach(pdn, bad_init, bad_target)
+        with pytest.raises(InputError, match="undeclared"):
+            pdn_reach_bounded(pdn, bad_init, bad_target, 3)
+    # the oracle allows target stacks, but still one per thread
+    with pytest.raises(InputError, match="arity"):
+        pdn_reach_bounded(pdn, init, GlobalConfiguration("g1", ()), 3)
 
 
 def test_encoder_names_are_input_errors():
@@ -176,4 +181,19 @@ def test_json_round_trip():
         *outer, last = path
         reduce(getitem, outer, data)[last] = bad
         with pytest.raises(InputError, match="must be lists"):
+            pdn_from_json(json.dumps(data))
+    # a symbol that is not a string; a list or an object is unhashable, and
+    # the encoder failed on it with TypeError
+    for path, bad in ((("globals", 0), 0), (("stack_alphabet", 1), ["Z"]),
+                      (("threads", 0, 0, 0), ["f0"]),
+                      (("threads", 0, 0, 1), None), (("threads", 0, 0, 2), 1),
+                      (("threads", 0, 0, 3, 0), ["J"]),
+                      (("init", "global"), ["f0"]),
+                      (("init", "stacks", 0, 0), ["J"]),
+                      (("target", "global"), {"x": 1}),
+                      (("target", "stacks", 1), [1])):
+        data = json.loads(json.dumps(good))
+        *outer, last = path
+        reduce(getitem, outer, data)[last] = bad
+        with pytest.raises(InputError, match="must be a string"):
             pdn_from_json(json.dumps(data))
