@@ -19,7 +19,7 @@ from .grammar import (Cfg, LinearGrammar, block_projection,  # noqa
 from .semilinear import (LinearSet, SemilinearSet, WitnessedSemilinear,  # noqa
                          linear_set, parikh_image, parikh_semilinear,
                          sl_intersect, sl_intersection_witness, sl_membership,
-                         witness_for_vector, sl_from_text, sl_to_text)
+                         witness_for_vector, sl_to_text)
 from .newton import (KFoldComposition, build_kfold,  # noqa,E402
                      differential_grammar, materialize_iterate,
                      suggested_depth)

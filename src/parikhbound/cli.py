@@ -116,11 +116,13 @@ def cmd_check_intersection(args) -> int:
 
 
 def cmd_reach_pdn(args) -> int:
+    if not args.network and args.family is None:
+        raise InputError("provide a network file or --family K")
     if args.family is not None:
         pdn, init, target = family_instance(args.family)
     else:
         pdn, init, target = pdn_from_json(_read(args.network))
-    if args.oracle_depth:
+    if args.oracle_depth is not None:
         found = pdn_reach_bounded(pdn, init, target, args.oracle_depth)
         _emit(args, {"oracle_reachable": found},
               f"oracle (depth {args.oracle_depth}): "
@@ -196,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", type=int, metavar="K",
                    help="use the built-in two-thread family instance")
     p.add_argument("--max-rounds", type=_length, default=5)
-    p.add_argument("--oracle-depth", type=_length, default=0, metavar="D",
+    p.add_argument("--oracle-depth", type=_length, metavar="D",
                    help="run the bounded breadth-first oracle instead")
     p.set_defaults(func=cmd_reach_pdn)
 
@@ -215,10 +217,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # a usage error (2, reported) or --help (0)
         return exc.code
-    if getattr(args, "command", None) == "reach-pdn" \
-            and not args.network and args.family is None:
-        print("error: provide a network file or --family K", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except InputError as exc:

@@ -18,6 +18,11 @@ from .errors import BudgetError, InputError
 
 Vec = tuple[int, ...]
 
+# Node budget of each minimal-solution search.  A completed search finds the
+# same solutions under any budget, so a smaller first try would only add
+# work when it runs out.
+NODE_BUDGET = 300_000
+
 
 def _add(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
@@ -31,8 +36,9 @@ def _geq(u: Vec, v: Vec) -> bool:
     return all(a >= b for a, b in zip(u, v))
 
 
-def minimal_homogeneous(columns: list[Vec], node_budget: int = 300_000) -> list[Vec]:
-    """All minimal nonzero solutions of sum_j x_j * col_j = 0 over the naturals."""
+def minimal_homogeneous(columns: list[Vec]) -> list[Vec]:
+    """All minimal nonzero solutions of sum_j x_j * col_j = 0 over the
+    naturals; BudgetError after NODE_BUDGET nodes."""
     q = len(columns)
     if q == 0:
         return []
@@ -43,12 +49,12 @@ def minimal_homogeneous(columns: list[Vec], node_budget: int = 300_000) -> list[
     for j in range(q):
         x = tuple(1 if i == j else 0 for i in range(q))
         frontier[x] = columns[j]
-    nodes = 0
+    nodes, budget = 0, NODE_BUDGET
     while frontier:
         next_frontier: dict[Vec, Vec] = {}
         for x, val in frontier.items():
             nodes += 1
-            if nodes > node_budget:
+            if nodes > budget:
                 raise BudgetError("Diophantine search budget exhausted")
             if val == zero_val:
                 # frontiers go up in weight, so a distinct minimal solution
@@ -68,15 +74,14 @@ def minimal_homogeneous(columns: list[Vec], node_budget: int = 300_000) -> list[
     return minimals
 
 
-def solve_system(columns: list[Vec], target: Vec, node_budget: int = 300_000
-                 ) -> tuple[list[Vec], list[Vec]]:
+def solve_system(columns: list[Vec], target: Vec) -> tuple[list[Vec], list[Vec]]:
     """Minimal particular solutions and minimal homogeneous solutions of
     sum_j x_j col_j = target.  Every solution is one particular solution plus a
     natural combination of homogeneous ones."""
     extended = list(columns) + [tuple(-t for t in target)]
     particular: list[Vec] = []
     homogeneous: list[Vec] = []
-    for m in minimal_homogeneous(extended, node_budget):
+    for m in minimal_homogeneous(extended):
         if m[-1] == 0:
             if any(m[:-1]):
                 homogeneous.append(m[:-1])

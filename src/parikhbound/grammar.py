@@ -569,14 +569,14 @@ def simplify(g: Cfg) -> Cfg:
     non-recursive single-production variables.
     """
     g = trim(g)
-    for _ in range(8):
+    # ends: no pass adds a variable or a production
+    while True:
         before = (len(g.variables), len(g.productions))
         g = _merge_equivalent(g)
         g = _inline_simple(g)
         g = trim(g)
         if (len(g.variables), len(g.productions)) == before:
-            break
-    return g
+            return g
 
 
 def _merge_equivalent(g: Cfg) -> Cfg:

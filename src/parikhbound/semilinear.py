@@ -10,7 +10,6 @@ constants always have witness words in the language.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -507,12 +506,6 @@ def _pair_system(a: LinearSet, b: LinearSet) -> tuple[list[Vec], Vec]:
     return columns, target
 
 
-# Node budget of each Diophantine search on a pair system.  A completed
-# search finds the same solutions under any budget, so a smaller first try
-# would only add work when it runs out.
-SEARCH_NODES = 300_000
-
-
 def _constants_apart(a: LinearSet, b: LinearSet) -> bool:
     """a and b are disjoint because, at a coordinate where one of them has
     no nonzero period, every point of it equals its constant there, and the
@@ -532,7 +525,7 @@ def _pair_solutions(a: LinearSet, b: LinearSet) -> tuple[list[Vec], list[Vec]]:
     columns, target = _pair_system(a, b)
     if not columns:
         return ([()] if a.constant == b.constant else []), []
-    return diophantine.solve_system(columns, target, SEARCH_NODES)
+    return diophantine.solve_system(columns, target)
 
 
 def _lin_intersect(a: LinearSet, b: LinearSet) -> list[LinearSet]:
@@ -644,30 +637,6 @@ def sl_to_text(s: SemilinearSet) -> str:
         else:
             lines.append(f"c = {const}; periods =")
     return "\n".join(lines) + "\n"
-
-
-def sl_from_text(text: str, dim: int | None = None) -> SemilinearSet:
-    """The set sl_to_text wrote.  Its dimension is ``dim`` when given, else
-    that of the first component; InputError for a component of another
-    dimension."""
-    comps = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "periods" not in line or not line.startswith("c"):
-            raise InputError(f"cannot parse semilinear line: {line!r}")
-        const_part, period_part = line.split(";", 1)
-        vecs = re.findall(r"\(([0-9,\s]*)\)", const_part)
-        if len(vecs) != 1:
-            raise InputError(f"bad constant in: {line!r}")
-        const = tuple(int(x) for x in vecs[0].split(",") if x.strip())
-        periods = [tuple(int(x) for x in grp.split(",") if x.strip())
-                   for grp in re.findall(r"\(([0-9,\s]*)\)", period_part)]
-        comps.append(LinearSet(const, tuple(periods)))
-    if dim is None:
-        dim = len(comps[0].constant) if comps else 0
-    return SemilinearSet(dim, tuple(comps))
 
 
 # ---------------------------------------------------------------------------

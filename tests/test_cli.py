@@ -147,6 +147,12 @@ def test_parikh_command(files, capsys):
     assert payload["verified_to_length"] == 6
     assert payload["verified"] is True
     assert all("constant" in c and "witness" in c for c in payload["components"])
+    # the text format, which nothing reads back
+    assert main(["parikh", path]) == 0
+    assert capsys.readouterr().out == ("alphabet: a b\n"
+                                       "c = (1,1); periods = (1,1)\n")
+    assert main(["parikh", files("e.txt", "S -> a S b\n")]) == 0
+    assert capsys.readouterr().out == "alphabet: a b\n# empty\n"
 
 
 def test_parikh_verify_failure_still_prints_the_image(files, capsys,
@@ -216,6 +222,15 @@ def test_reach_pdn_family_through_reach(capsys):
     assert main(["--format", "json", "reach-pdn", "--family", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "nonempty" and ",2)" in payload["schedule"]
+
+
+def test_reach_pdn_oracle_at_depth_zero(capsys):
+    # depth 0 runs the oracle for zero steps, not the semi-algorithm
+    assert main(["reach-pdn", "--family", "1", "--oracle-depth", "0"]) == 2
+    assert capsys.readouterr().out == "oracle (depth 0): not reached\n"
+    assert main(["--format", "json", "reach-pdn", "--family", "1",
+                 "--oracle-depth", "0"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"oracle_reachable": False}
 
 
 def test_reach_pdn_file(files, capsys):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_solve_nonneg
-from parikhbound import (BudgetError, InputError, linear_set,
+from parikhbound import (BudgetError, InputError, diophantine, linear_set,
                          sl_intersection_witness)
 from parikhbound.diophantine import (minimal_homogeneous, solve_nonneg,
                                      solve_system)
@@ -154,14 +154,16 @@ def test_solve_nonneg_rejects_negative_entries():
             solve_nonneg(columns, target)
 
 
-def test_solve_system_node_budget():
+def test_solve_system_node_budget(monkeypatch):
     # 3x - 3y = 2 has rational solutions and no integer ones; a completed
     # search proves it, a search cut short raises
     columns, target = [(3,), (-3,)], (2,)
-    particular, homogeneous = solve_system(columns, target, node_budget=50)
+    monkeypatch.setattr(diophantine, "NODE_BUDGET", 50)
+    particular, homogeneous = solve_system(columns, target)
     assert particular == [] and homogeneous == [(1, 1)]
+    monkeypatch.setattr(diophantine, "NODE_BUDGET", 5)
     with pytest.raises(BudgetError):
-        solve_system(columns, target, node_budget=5)
+        solve_system(columns, target)
 
 
 def test_residue_pair_is_disjoint_and_fast():

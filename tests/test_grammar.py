@@ -422,3 +422,11 @@ def test_simplify_preserves_language():
         s = simplify(g)
         assert isinstance(s, Cfg)
         assert words_set(s, 7) == words_set(g, 7)
+
+
+def test_simplify_is_idempotent():
+    # simplify runs its passes until nothing changes, so its output is a
+    # fixed point
+    for g in corpus_and_acceptors():
+        s = simplify(g)
+        assert simplify(s) == s

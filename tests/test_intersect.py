@@ -5,7 +5,7 @@ from parikhbound import (BudgetError, InputError, IntersectionInstance,
                          cyk_membership, eb, enumerate_words,
                          intersect_modulo, parse_grammar, progress_trace,
                          semi_algorithm, trim)
-from parikhbound import intersect, semilinear
+from parikhbound import diophantine, intersect
 from parikhbound.grammar import cfg
 from parikhbound.intersect import refine
 from parikhbound.semilinear import (parikh_semilinear,
@@ -116,7 +116,7 @@ def test_instance_requires_grammar():
 
 
 def _zero_node_budgets(monkeypatch):
-    monkeypatch.setattr(semilinear, "SEARCH_NODES", 0)
+    monkeypatch.setattr(diophantine, "NODE_BUDGET", 0)
 
 
 def test_exhausted_budget_never_answers_empty(monkeypatch):

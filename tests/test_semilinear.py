@@ -20,8 +20,8 @@ from parikhbound import (BudgetError, InputError, LinearSet, SemilinearSet,
                          cyk_membership, differential_grammar, linear_set,
                          parikh_image, parikh_semilinear, parikh_of_word,
                          parse_grammar,
-                         sl_from_text, sl_intersect, sl_intersection_witness,
-                         sl_membership, sl_to_text, trim, witness_for_vector)
+                         sl_intersect, sl_intersection_witness,
+                         sl_membership, trim, witness_for_vector)
 from parikhbound import semilinear
 from parikhbound.diophantine import solve_nonneg
 from parikhbound.grammar import regex_to_cfg
@@ -310,7 +310,7 @@ def test_witness_of_three_sets_matches_their_intersection(a, b, c):
     try:
         # the exact reference gets a smaller budget: on a few triples it
         # would spend minutes running out of the full one
-        with patch.object(semilinear, "SEARCH_NODES", 20_000):
+        with patch.object(semilinear.diophantine, "NODE_BUDGET", 20_000):
             empty = reduce(sl_intersect, sets).is_empty()
     except BudgetError:
         return
@@ -330,16 +330,16 @@ def test_witness_meets_a_shared_prefix_once(monkeypatch):
     systems = []
     solve = semilinear.diophantine.solve_system
 
-    def counted(columns, target, node_budget):
+    def counted(columns, target):
         systems.append((tuple(columns), target))
-        return solve(columns, target, node_budget)
+        return solve(columns, target)
 
     monkeypatch.setattr(semilinear.diophantine, "solve_system", counted)
     assert sl_intersection_witness(a, b, c) is None
     assert len(systems) == 4 and len(set(systems)) == 4
     # a prefix that ran out of budget is not searched again
     systems.clear()
-    monkeypatch.setattr(semilinear, "SEARCH_NODES", 0)
+    monkeypatch.setattr(semilinear.diophantine, "NODE_BUDGET", 0)
     with pytest.raises(BudgetError):
         sl_intersection_witness(a, b, c)
     assert len(systems) == 1
@@ -609,22 +609,6 @@ def test_parikh_image_witnesses_are_members():
         for comp, w in image.components:
             assert cyk_membership(t, w)
             assert parikh_of_word(w, t.terminals) == comp.constant
-
-
-def test_sl_text_round_trip():
-    s = SemilinearSet(2, (linear_set((1, 0), ((1, 1),)), linear_set((2, 2))))
-    assert sl_from_text(sl_to_text(s)) == s
-    assert sl_from_text(sl_to_text(s), dim=2) == s
-    assert sl_from_text(sl_to_text(SemilinearSet(2, ())), dim=2).is_empty()
-
-
-def test_sl_text_rejects_a_dimension_mismatch():
-    for text, dim in (("c = (1,2); periods =", 3),
-                      ("c = (1,2); periods = (1,1)", 1),
-                      ("c = (1,2); periods =\nc = (1); periods =", None),
-                      ("c = (1,2); periods = (1)", None)):
-        with pytest.raises(InputError):
-            sl_from_text(text, dim=dim)
 
 
 # Pruned sets of up to six components; unions of two of them share
